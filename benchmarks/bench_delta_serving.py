@@ -1,20 +1,21 @@
-"""Delta scoring + micro-batching vs the PR 4 warm-cache serving path.
+"""Delta scoring + fused micro-batches vs the PR 4 warm-cache serving path.
 
 PR 3/4 made repeated scoring of the *same* matrix nearly free, but a
 streaming workload never repeats a matrix exactly: each request differs
 from the previous one in a few triple columns, the pattern digest changes,
 and the warm path re-runs pattern extraction, plan compilation, and model
 evaluation from scratch.  This benchmark measures the two serving layers
-delivered on top (``repro/core/deltas.py`` + ``ScoringSession.submit``):
+delivered on top (``repro/core/deltas.py`` + ``ScoringSession.score_batch``):
 
 - **delta replay** -- a mutation trace (1-5% of triples mutated per step,
   the streaming shape) scored through a ``delta="auto"`` session vs the
   same trace through a ``delta="off"`` session whose plan caches are warm
   (the PR 4 path).  Gate: delta >= 3x on the 48x4000 BOOK-like grid.
-- **micro-batching** -- 8 concurrent small requests scored through
-  ``ScoringSession.submit`` (coalesced into one fused delta-aware pass)
-  vs a sequential loop of individual warm ``score`` calls.  Gate:
-  micro-batched wall-clock >= 2x faster.
+- **micro-batching** -- 8 small requests scored by one
+  ``ScoringSession.score_batch`` call (one fused delta-aware pass, the
+  engine the async front end's lanes batch into) vs a sequential loop of
+  individual warm ``score`` calls.  Gate: micro-batched wall-clock >= 2x
+  faster.
 
 Both gates are enforced on runners with >= 4 cores and *recorded as
 skipped* below that (same policy as ``bench_sharded_engine``: shared
@@ -38,7 +39,6 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -66,7 +66,7 @@ MUTATE_FRACS = (0.01, 0.05)
 FULL_STEPS = 10
 SMOKE_STEPS = 4
 
-#: Micro-batching: concurrent small requests per wall-clock round.
+#: Micro-batching: small requests per fused round.
 MICRO_REQUESTS = 8
 MICRO_WIDTH = 256
 MICRO_ROUNDS = 3
@@ -177,30 +177,22 @@ def _micro_rounds(observations):
 
 
 def measure_micro_batching(dataset) -> dict:
-    """8 concurrent submits vs a sequential loop of individual scores."""
+    """One fused ``score_batch`` of 8 requests vs 8 individual scores."""
     delta_session, plain_session = _sessions(dataset)
     observations = dataset.observations
     warmup_round, *rounds = _micro_rounds(observations)
+    fused_requests = 0
 
-    def run_concurrent(requests) -> tuple[float, list[np.ndarray]]:
-        results: list = [None] * len(requests)
-        barrier = threading.Barrier(len(requests) + 1)
-
-        def submit(k):
-            barrier.wait()
-            results[k] = delta_session.submit(requests[k])
-
-        threads = [
-            threading.Thread(target=submit, args=(k,))
-            for k in range(len(requests))
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
+    def run_batched(requests) -> tuple[float, list]:
+        nonlocal fused_requests
         start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        return time.perf_counter() - start, results
+        outcome = delta_session.score_batch(requests)
+        elapsed = time.perf_counter() - start
+        fused_requests += outcome.fused_requests
+        for error in outcome.errors:
+            if error is not None:
+                raise error
+        return elapsed, outcome.scores
 
     # Warm both sessions on the base matrix and one unmeasured round, so
     # the measured rounds compare steady-state serving: the sequential
@@ -210,7 +202,7 @@ def measure_micro_batching(dataset) -> dict:
     delta_session.score(observations)
     for request in warmup_round:
         plain_session.score(request)
-    run_concurrent(warmup_round)
+    run_batched(warmup_round)
 
     sequential_seconds: list[float] = []
     references: list[list[np.ndarray]] = []
@@ -223,7 +215,7 @@ def measure_micro_batching(dataset) -> dict:
     batched_seconds: list[float] = []
     max_diff = 0.0
     for requests, round_references in zip(rounds, references):
-        elapsed, results = run_concurrent(requests)
+        elapsed, results = run_batched(requests)
         batched_seconds.append(elapsed)
         for scores, reference in zip(results, round_references):
             max_diff = max(
@@ -232,7 +224,6 @@ def measure_micro_batching(dataset) -> dict:
 
     sequential_mean = float(np.mean(sequential_seconds))
     batched_mean = float(np.mean(batched_seconds))
-    batcher_stats = delta_session.micro_batcher.stats
     return {
         "kind": "micro_batch",
         "n_sources": observations.n_sources,
@@ -247,8 +238,8 @@ def measure_micro_batching(dataset) -> dict:
             if batched_mean > 0
             else float("inf")
         ),
-        "batches": batcher_stats["batches"],
-        "fused_requests": batcher_stats["fused_requests"],
+        "batches": 1 + len(rounds),  # the warm-up round included
+        "fused_requests": fused_requests,
         "max_abs_diff": max_diff,
     }
 

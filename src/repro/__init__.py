@@ -29,7 +29,6 @@ from repro.core import (
     FusionResult,
     IndependentJointModel,
     JointQualityModel,
-    MicroBatcher,
     ObservationMatrix,
     PrecRecFuser,
     ScoringSession,
@@ -67,7 +66,6 @@ __all__ = [
     "FusionResult",
     "IndependentJointModel",
     "JointQualityModel",
-    "MicroBatcher",
     "ObservationMatrix",
     "PrecRecFuser",
     "ScoringSession",

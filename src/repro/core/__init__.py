@@ -40,7 +40,6 @@ from repro.core.api import (
     METHOD_NAMES,
     SERVING_MODES,
     BatchScoreOutcome,
-    MicroBatcher,
     ScoringSession,
     fit_model,
     fuse,
@@ -151,7 +150,6 @@ __all__ = [
     "JointQualityModel",
     "METHOD_NAMES",
     "MaskedJointCache",
-    "MicroBatcher",
     "ModelBasedFuser",
     "ObservationMatrix",
     "PARALLEL_BACKENDS",

@@ -22,7 +22,6 @@ therefore their compiled-plan caches) alive across many ``score`` calls::
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Optional, Sequence
 
@@ -59,7 +58,7 @@ from repro.core.parallel import resolve_workers
 from repro.core.precrec import PrecRecFuser
 from repro.core.quality import estimate_prior
 
-#: Valid values for the serving-layer opt-outs (``delta`` / ``micro_batch``).
+#: Valid values for the serving-layer opt-out (``delta``).
 SERVING_MODES = ("auto", "off")
 
 #: Valid values for the streaming refit strategy (``refit_mode`` knobs).
@@ -77,7 +76,7 @@ def check_refit_mode(value: str) -> str:
 
 
 def _check_serving_mode(value: str, name: str) -> str:
-    """Validate a ``delta`` / ``micro_batch`` knob."""
+    """Validate a ``delta`` knob."""
     key = str(value).lower()
     if key not in SERVING_MODES:
         raise ValueError(
@@ -348,35 +347,6 @@ def _build_fuser(
     return fuser, model
 
 
-class _PendingScore:
-    """One enqueued :meth:`MicroBatcher.submit` request."""
-
-    __slots__ = (
-        "observations",
-        "event",
-        "scores",
-        "error",
-        "promoted",
-        "flush_at",
-    )
-
-    def __init__(
-        self,
-        observations: ObservationMatrix,
-        flush_at: Optional[float] = None,
-    ) -> None:
-        self.observations = observations
-        self.event = threading.Event()
-        self.scores: Optional[np.ndarray] = None
-        self.error: Optional[BaseException] = None
-        # Set (under the batcher lock) when a retiring leader wakes this
-        # still-queued request to take over leadership.
-        self.promoted = False
-        # Monotonic deadline by which this request wants its batch cut
-        # (half its latency budget); None = content with the full window.
-        self.flush_at = flush_at
-
-
 class BatchScoreOutcome:
     """Per-request results of one :meth:`ScoringSession.score_batch` call.
 
@@ -396,338 +366,6 @@ class BatchScoreOutcome:
         self.scores = scores
         self.errors = errors
         self.fused_requests = fused_requests
-
-
-class MicroBatcher:
-    """Cross-request micro-batching for concurrent small score requests.
-
-    N threads each scoring a small matrix through one session pay N
-    pattern extractions, N digest probes, and N GIL-contended scoring
-    passes.  The batcher turns them into one wide pass: ``submit``
-    enqueues the request, one caller becomes the *leader* (no background
-    thread -- the leader is whichever submitter found no leader active),
-    waits ``wait_seconds`` for stragglers, coalesces the pending requests
-    into a single fused observation matrix (columns concatenated in
-    request order, request-boundary offsets preserved), executes **one**
-    delta-aware session score, and splits the result back per request.
-
-    Every request in a batch shares one model generation by construction:
-    the fused matrix is scored through a single ``session.score`` call,
-    which binds the live fuser exactly once.  Because each triple's score
-    depends only on its own observation pattern, per-request slices of the
-    fused score vector are bit-identical to scoring the requests
-    individually (pinned by ``tests/test_microbatch.py``).
-
-    Requests that cannot be coalesced -- an EM session (its scores depend
-    on the whole matrix), a fuser without the ``pattern_batch_invariant``
-    guarantee (PrecRec, aggressive), or mismatched source counts -- are
-    scored individually, so ``submit`` is always a drop-in for ``score``.
-
-    The coalescing window is interruptible: the leader waits on a
-    condition variable that ``submit`` signals the moment the queue
-    reaches ``max_requests`` (a burst never waits out the window -- the
-    full batch ships immediately), that per-request latency budgets cut
-    short once the oldest deadline has half-spent its budget, and that
-    :meth:`close` signals on shutdown.  Note the remaining latency
-    floor: an uncontended caller still pays up to ``wait_seconds``
-    (default 2ms) per call for nothing -- use ``score`` (or
-    ``micro_batch="off"``) on single-threaded paths.
-    """
-
-    def __init__(
-        self,
-        session: "ScoringSession",
-        max_requests: int = 64,
-        wait_seconds: float = 0.002,
-    ) -> None:
-        if max_requests < 1:
-            raise ValueError(
-                f"max_requests must be >= 1, got {max_requests}"
-            )
-        if wait_seconds < 0.0:
-            raise ValueError(
-                f"wait_seconds must be non-negative, got {wait_seconds}"
-            )
-        self._session = session
-        self._max_requests = int(max_requests)
-        self._wait_seconds = float(wait_seconds)
-        self._lock = make_lock("MicroBatcher._lock")
-        # The interruptible coalescing window: submit notifies once the
-        # queue is full (or a deadline-carrying request arrives), close
-        # notifies on shutdown; _drain waits on it instead of sleeping.
-        self._queue_ready = threading.Condition(self._lock)
-        # guarded-by: _lock
-        self._pending: list[_PendingScore] = []
-        # guarded-by: _lock
-        self._leader_active = False
-        # guarded-by: _lock
-        self._closed = False
-        # guarded-by: _lock
-        self._requests = 0
-        # guarded-by: _lock
-        self._batches = 0
-        # guarded-by: _lock
-        self._fused_requests = 0
-        # guarded-by: _lock
-        self._fused_batches = 0
-        # guarded-by: _lock
-        self._largest_batch = 0
-        # guarded-by: _lock
-        self._largest_fused_batch = 0
-
-    def __getstate__(self) -> dict:
-        raise TypeError(
-            "MicroBatcher is process-local (it owns a lock and waiter "
-            "events tied to this process's threads); build one per "
-            "process instead of pickling it"
-        )
-
-    @property
-    def stats(self) -> dict:
-        """Coalescing diagnostics for ``ServingReport`` / benchmarks.
-
-        ``largest_batch`` is the biggest *dequeued* batch (including
-        requests that had to score individually); ``largest_fused_batch``
-        and ``fused_batches`` report what actually coalesced, so serving
-        reports reflect real fusion rather than queue depth.
-        """
-        with self._lock:
-            return {
-                "requests": self._requests,
-                "batches": self._batches,
-                "fused_requests": self._fused_requests,
-                "fused_batches": self._fused_batches,
-                "largest_batch": self._largest_batch,
-                "largest_fused_batch": self._largest_fused_batch,
-                "max_requests": self._max_requests,
-                "wait_seconds": self._wait_seconds,
-                "closed": self._closed,
-            }
-
-    def close(self) -> None:
-        """Retire the batcher: flush pending traffic, stop coalescing.
-
-        Wakes the leader's coalescing wait so already-queued requests
-        ship immediately; submits arriving after close score inline
-        through the session (no window, no fusion).  Idempotent.
-        """
-        with self._lock:
-            self._closed = True
-            self._queue_ready.notify_all()
-
-    def submit(
-        self,
-        observations: ObservationMatrix,
-        latency_budget: Optional[float] = None,
-    ) -> np.ndarray:
-        """Score ``observations``, coalescing with concurrent submitters.
-
-        Blocks until this request's scores are ready; exceptions raised by
-        the underlying scoring land on the requests that caused them.
-        Latency is bounded: a leader retires once its own request has been
-        served, handing the remaining queue to a waiting submitter, so no
-        caller serves other threads' traffic indefinitely.  A request
-        carrying a ``latency_budget`` (seconds) additionally cuts the
-        coalescing window short once half its budget is spent, leaving
-        the other half for the scoring pass itself.
-        """
-        if latency_budget is not None and latency_budget <= 0.0:
-            raise ValueError(
-                f"latency_budget must be positive, got {latency_budget}"
-            )
-        flush_at = None
-        if latency_budget is not None:
-            flush_at = time.monotonic() + latency_budget / 2.0
-        request = _PendingScore(observations, flush_at=flush_at)
-        with self._lock:
-            if self._closed:
-                closed = True
-            else:
-                closed = False
-                self._pending.append(request)
-                self._requests += 1
-                leader = not self._leader_active
-                if leader:
-                    self._leader_active = True
-                elif (
-                    len(self._pending) >= self._max_requests
-                    or flush_at is not None
-                ):
-                    # Cut the leader's coalescing wait short: a full
-                    # queue must ship now, and a deadline-carrying
-                    # request may move the earliest flush time up.
-                    self._queue_ready.notify_all()
-        if closed:
-            return self._session.score(observations)
-        while True:
-            if leader:
-                self._drain(request)
-                break
-            try:
-                request.event.wait()
-            except BaseException:
-                # Unwinding mid-wait (KeyboardInterrupt lands on the main
-                # thread even inside Event.wait): a promotable husk left
-                # in the queue could be handed leadership nobody will
-                # ever exercise, hanging every other submitter.
-                self._abandon(request)
-                raise
-            if not request.promoted:
-                break
-            # A retiring leader handed us the queue: our own request is
-            # still pending, so lead the next batches (it gets served in
-            # our first one).
-            request.promoted = False
-            leader = True
-        if request.error is not None:
-            raise request.error
-        return request.scores
-
-    def _abandon(self, request: _PendingScore) -> None:
-        """Withdraw an unwinding waiter's request from the queue.
-
-        If a retiring leader already promoted it, pass the leadership on
-        to another waiter (or release it) so the queue can never be
-        orphaned; once removed here, the request can no longer be
-        promoted (promotion only ever picks queued entries, under the
-        same lock).
-        """
-        with self._lock:
-            try:
-                self._pending.remove(request)
-            except ValueError:
-                pass  # already taken into a batch; scoring it is harmless
-            if not request.promoted:
-                return
-            request.promoted = False
-            if self._pending:
-                successor = self._pending[0]
-                successor.promoted = True
-                successor.event.set()
-            else:
-                self._leader_active = False
-
-    def _drain(self, own: _PendingScore) -> None:
-        """Leader loop: execute batches until the queue empties or, once
-        ``own`` has been served, leadership is handed to a waiting
-        submitter (bounding every caller's time spent serving others)."""
-        batch: list[_PendingScore] = []
-        try:
-            while True:
-                self._await_coalescing_window()
-                with self._lock:
-                    batch = self._pending[: self._max_requests]
-                    del self._pending[: len(batch)]
-                self._execute(batch)
-                batch = []
-                with self._lock:
-                    if not self._pending:
-                        self._leader_active = False
-                        return
-                    if own.event.is_set():
-                        # Hand the queue to a still-waiting request;
-                        # _leader_active stays True across the transfer so
-                        # no third submitter self-elects in between.
-                        successor = self._pending[0]
-                        successor.promoted = True
-                        successor.event.set()
-                        return
-        except BaseException as error:
-            # _execute routes scoring errors to their requests; this is
-            # the backstop for leader failures outside it (e.g. a
-            # KeyboardInterrupt mid-batch).  Fail everything still queued
-            # -- their submitters are blocked and no successor was named
-            # -- and free the leadership so future submits recover.  The
-            # dequeued in-flight batch is included: its entries are no
-            # longer in _pending, and a leader dying between dequeue and
-            # _execute's event-setting finally would otherwise leave its
-            # followers waiting forever (re-setting an already-set event
-            # is harmless).
-            with self._lock:
-                abandoned, self._pending = self._pending, []
-                self._leader_active = False
-            for request in batch + abandoned:
-                if request.scores is None and request.error is None:
-                    request.error = RuntimeError(
-                        "micro-batch leader failed before scoring this "
-                        "request"
-                    )
-                    request.error.__cause__ = error
-                request.event.set()
-            raise
-
-    def _await_coalescing_window(self) -> None:
-        """The interruptible coalescing window (replaces a fixed sleep).
-
-        Gives stragglers up to ``wait_seconds`` to enqueue, but returns
-        the moment the queue is full (``submit`` notifies the condition),
-        the earliest per-request flush deadline passes, or the batcher is
-        closed -- so a burst that fills the batch right after the leader
-        starts waiting ships immediately instead of waiting the window
-        out.
-        """
-        if self._wait_seconds <= 0.0:
-            return
-        window_end = time.monotonic() + self._wait_seconds
-        with self._lock:
-            while True:
-                if self._closed:
-                    return
-                if len(self._pending) >= self._max_requests:
-                    return
-                cutoff = window_end
-                for request in self._pending:
-                    if (
-                        request.flush_at is not None
-                        and request.flush_at < cutoff
-                    ):
-                        cutoff = request.flush_at
-                remaining = cutoff - time.monotonic()
-                if remaining <= 0.0:
-                    return
-                self._queue_ready.wait(remaining)
-
-    def _execute(self, batch: list[_PendingScore]) -> None:
-        """Score one batch (fused when possible) and wake its requests."""
-        session = self._session
-        with self._lock:
-            self._batches += 1
-            self._largest_batch = max(self._largest_batch, len(batch))
-        try:
-            outcome = session.score_batch(
-                [request.observations for request in batch]
-            )
-            for request, scores, error in zip(
-                batch, outcome.scores, outcome.errors
-            ):
-                request.scores = scores
-                request.error = error
-            if outcome.fused_requests:
-                with self._lock:
-                    self._fused_requests += outcome.fused_requests
-                    self._fused_batches += 1
-                    self._largest_fused_batch = max(
-                        self._largest_fused_batch, outcome.fused_requests
-                    )
-        except BaseException as error:
-            # BaseException included: a KeyboardInterrupt mid-score must
-            # still mark the batch (a woken request with neither scores
-            # nor error would silently return None), then propagate so
-            # the leader's _drain backstop fails the rest of the queue.
-            # Each request gets its own wrapper: several submitter threads
-            # re-raising one shared instance would race on its traceback.
-            for request in batch:
-                if request.scores is None and request.error is None:
-                    wrapped = RuntimeError(
-                        "micro-batch scoring failed for this request"
-                    )
-                    wrapped.__cause__ = error
-                    request.error = wrapped
-            if not isinstance(error, Exception):
-                raise
-        finally:
-            for request in batch:
-                request.event.set()
 
 
 class ScoringSession:
@@ -764,10 +402,10 @@ class ScoringSession:
     :meth:`refit`, so stale per-pattern memos never survive a model
     generation bump.
 
-    Cross-request micro-batching: :meth:`submit` is a concurrency-aware
-    drop-in for :meth:`score` that coalesces simultaneous small requests
-    into one fused delta-aware scoring pass (see :class:`MicroBatcher`);
-    ``micro_batch="off"`` makes it an alias for :meth:`score`.
+    Cross-request batching: :meth:`score_batch` scores several requests
+    in one fused delta-aware pass with per-request slices bit-identical
+    to :meth:`score`.  The async front end (:mod:`repro.serve`) is the
+    batcher that gathers concurrent requests into those calls.
 
     Concurrency: one session may be scored from many threads at once,
     including while :meth:`refit` runs.  Each ``score`` call binds the
@@ -798,9 +436,6 @@ class ScoringSession:
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
         delta: str = "auto",
-        micro_batch: str = "auto",
-        micro_batch_wait_seconds: float = 0.002,
-        micro_batch_max_requests: int = 64,
         **options: Any,
     ) -> None:
         self._method = method
@@ -813,22 +448,6 @@ class ScoringSession:
         self._workers = resolve_workers(workers)
         self._shard_size = shard_size
         self._delta = _check_serving_mode(delta, "delta")
-        self._micro_batch = _check_serving_mode(micro_batch, "micro_batch")
-        if micro_batch_wait_seconds < 0.0:
-            raise ValueError(
-                "micro_batch_wait_seconds must be non-negative, got "
-                f"{micro_batch_wait_seconds}"
-            )
-        if micro_batch_max_requests < 1:
-            raise ValueError(
-                "micro_batch_max_requests must be >= 1, got "
-                f"{micro_batch_max_requests}"
-            )
-        self._micro_batch_wait = float(micro_batch_wait_seconds)
-        self._micro_batch_max = int(micro_batch_max_requests)
-        self._batcher_lock = make_lock("ScoringSession._batcher_lock")
-        # guarded-by: _batcher_lock
-        self._batcher: Optional[MicroBatcher] = None
         self._options = dict(options)
         # Durability hook (repro.persist.Checkpointer, duck-typed to keep
         # core free of a persist import): when attached, refits log
@@ -950,7 +569,6 @@ class ScoringSession:
             "workers": self._workers,
             "shard_size": self._shard_size,
             "delta": self._delta,
-            "micro_batch": self._micro_batch,
             "options": options,
             "dropped_options": dropped,
         }
@@ -1016,7 +634,7 @@ class ScoringSession:
         return self._fuser.score(observations)
 
     def _score_coalesced(self, observations: ObservationMatrix) -> np.ndarray:
-        """Score a micro-batched fused matrix (internal).
+        """Score a fused matrix of several requests (internal).
 
         Like :meth:`score`, but without installing the fused
         concatenation as the delta engine's previous-request snapshot: a
@@ -1069,16 +687,18 @@ class ScoringSession:
     ) -> BatchScoreOutcome:
         """Score several matrices at once, coalescing the fusable ones.
 
-        The shared engine behind :class:`MicroBatcher` batches and the
-        async serving front end (:mod:`repro.serve`).  Requests whose
-        per-pattern scores are bitwise independent of batch composition
-        (a ``pattern_batch_invariant`` fuser, matching source count) are
-        concatenated column-wise and scored in one fused delta-aware
-        pass; everything else is scored individually.  Per-request
-        slices are bit-identical to :meth:`score` of the same matrix.
-        Errors are captured per request (``errors[i]``) instead of
-        raised, so one bad request never poisons its batch -- and a solo
-        bad request keeps its original exception type.
+        The shared fused engine behind the async serving front end's
+        lanes (:mod:`repro.serve`), whose dispatchers are the only
+        batching; callers holding several requests at once call it
+        directly.  Requests whose per-pattern scores are bitwise
+        independent of batch composition (a ``pattern_batch_invariant``
+        fuser, matching source count) are concatenated column-wise and
+        scored in one fused delta-aware pass; everything else is scored
+        individually.  Per-request slices are bit-identical to
+        :meth:`score` of the same matrix.  Errors are captured per
+        request (``errors[i]``) instead of raised, so one bad request
+        never poisons its batch -- and a solo bad request keeps its
+        original exception type.
 
         ``cold=True`` is the degradation ladder's middle rung: the batch
         is still coalesced, but scored through the fuser directly
@@ -1159,40 +779,6 @@ class ScoringSession:
             scores[i] = fused_scores[offset : offset + width].copy()
             offset += width
         return BatchScoreOutcome(scores, errors, len(fusable))
-
-    def submit(
-        self,
-        observations: ObservationMatrix,
-        latency_budget: Optional[float] = None,
-    ) -> np.ndarray:
-        """Score with cross-request micro-batching (see :class:`MicroBatcher`).
-
-        Concurrent submitters sharing a model generation are coalesced
-        into one fused delta-aware scoring pass and handed back their
-        per-request slices -- bit-identical to :meth:`score`.  With
-        ``micro_batch="off"`` this is an alias for :meth:`score`.  A
-        ``latency_budget`` (seconds) flushes this request's batch once
-        half the budget is spent rather than after the full coalescing
-        window.
-        """
-        if self._micro_batch == "off":
-            return self.score(observations)
-        batcher = self._batcher
-        if batcher is None:
-            with self._batcher_lock:
-                if self._batcher is None:
-                    self._batcher = MicroBatcher(
-                        self,
-                        max_requests=self._micro_batch_max,
-                        wait_seconds=self._micro_batch_wait,
-                    )
-                batcher = self._batcher
-        return batcher.submit(observations, latency_budget=latency_budget)
-
-    @property
-    def micro_batcher(self) -> Optional[MicroBatcher]:
-        """The lazily-created batcher behind :meth:`submit`, if any."""
-        return self._batcher
 
     def fuse(
         self,
@@ -1624,13 +1210,8 @@ class ScoringSession:
         so callers embedding sessions in their own lifecycles do not rely
         on GC finalizers to reclaim executor threads.  Serialised against
         :meth:`refit`: a close racing a refit closes the generation the
-        refit publishes, never leaking its fresh pools.  The lazily-built
-        micro-batcher (if any) is retired too: its queued requests flush
-        immediately and later submits score inline.
+        refit publishes, never leaking its fresh pools.
         """
-        batcher = self._batcher
-        if batcher is not None:
-            batcher.close()
         with self._refit_lock:
             fuser = self._fuser
             if isinstance(fuser, ModelBasedFuser):
@@ -1656,10 +1237,11 @@ class ScoringSession:
 
         The flat keys are the live fuser's compiled-plan cache stats (the
         shape PR 3/4 consumers rely on); nested dicts add the
-        bitmask-keyed joint cache (``"joint_cache"``), the delta engine
-        (``"delta"``: path counts, reuse volumes, pattern-memo counters),
-        and micro-batching (``"micro_batch"``) when those layers are
-        active.  Empty for sessions with none of them (EM).
+        bitmask-keyed joint cache (``"joint_cache"``), the worker pool
+        (``"pool"``), the delta engine (``"delta"``: path counts, reuse
+        volumes, pattern-memo counters) and streaming refits
+        (``"refit"``) when those layers are active.  Empty for sessions
+        with none of them (EM).
         """
         fuser = self._fuser
         scorer = self._delta_scorer
@@ -1677,9 +1259,6 @@ class ScoringSession:
                 stats["pool"] = pool_stats
         if scorer is not None:
             stats["delta"] = scorer.stats
-        batcher = self._batcher
-        if batcher is not None:
-            stats["micro_batch"] = batcher.stats
         if refit is not None:
             stats["refit"] = refit
         return stats

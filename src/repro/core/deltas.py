@@ -33,7 +33,7 @@ levels 2-3 rely on per-pattern independence), delta scores are
 The scorer is deliberately conservative: mismatched source counts, legacy
 engines, or a dirty fraction beyond ``churn_fraction`` fall back to the
 cold path (which still reuses known patterns through the memo -- the case
-micro-batched fused matrices hit).
+fused batches of several requests hit).
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ class DeltaScorer:
       patterns, and batch only the novel patterns;
     - **cold** -- no usable previous request or churn beyond
       ``churn_fraction``: full pattern extraction, with known patterns
-      still gathered from the memo (the micro-batching case).
+      still gathered from the memo (the fused-batch case).
 
     Pattern-level reuse (the delta and memo-filtered-cold paths) requires
     the fuser's per-pattern scores to be bitwise independent of batch
@@ -343,10 +343,10 @@ class DeltaScorer:
         """One truthfulness score per triple, bit-identical to a cold run.
 
         ``snapshot=False`` scores without installing this request as the
-        previous-request snapshot -- for out-of-band requests (the
-        micro-batcher's fused concatenations) that would otherwise break
-        the streaming sequence's delta continuity.  The pattern memo is
-        still consulted and extended either way.
+        previous-request snapshot -- for out-of-band requests (the fused
+        concatenations of ``ScoringSession.score_batch``) that would
+        otherwise break the streaming sequence's delta continuity.  The
+        pattern memo is still consulted and extended either way.
         """
         prev = self._prev
         if prev is not None:

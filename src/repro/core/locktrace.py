@@ -4,8 +4,7 @@ The threaded serving stack (PR 4) rests on two prose invariants that no
 test could previously *watch* being upheld:
 
 1. **Lock ordering is acyclic.**  Every component lock (plan cache, joint
-   cache, session refit/count locks, micro-batcher queue lock, worker-pool
-   state lock) may be held while acquiring certain others -- e.g. a refit
+   cache, session refit/count locks, worker-pool state lock) may be held while acquiring certain others -- e.g. a refit
    holds the session's refit lock while invalidating the retired fuser's
    plan cache.  As long as the "held while acquiring" relation over lock
    *names* stays acyclic, no schedule of threads can deadlock on them.

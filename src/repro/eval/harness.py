@@ -742,7 +742,6 @@ def run_serving_load(
         dataset.labels,
         method=method,
         workers=workers,
-        micro_batch="off",
         **options,
     )
     trace = serving_request_trace(
@@ -841,7 +840,6 @@ def run_serving_load(
                     method=method,
                     workers=workers,
                     delta="off",
-                    micro_batch="off",
                     **options,
                 )
                 twins[generation] = twin
@@ -1043,7 +1041,6 @@ def run_serving_chaos(
         dataset.labels,
         method=method,
         workers=workers,
-        micro_batch="off",
         **options,
     )
     trace = serving_request_trace(
@@ -1186,7 +1183,6 @@ def run_serving_chaos(
                     method=method,
                     workers=workers,
                     delta="off",
-                    micro_batch="off",
                     **options,
                 )
                 twins[generation] = twin

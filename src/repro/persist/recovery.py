@@ -263,7 +263,6 @@ def _build_session(
             "workers",
             "shard_size",
             "delta",
-            "micro_batch",
         )
         if key in config
     }

@@ -271,7 +271,7 @@ class TestWorkerPoolSupervision:
         dataset = _dataset()
         session = ScoringSession(
             dataset.observations, dataset.labels, method="exact",
-            workers=2, shard_size=64, micro_batch="off",
+            workers=2, shard_size=64,
         )
         try:
             session.score(dataset.observations)
@@ -281,8 +281,7 @@ class TestWorkerPoolSupervision:
         assert stats["pool"]["workers"] == 2
         assert stats["pool"]["restarts"] == 0
         serial = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            micro_batch="off",
+            dataset.observations, dataset.labels, method="exact", workers=1
         )
         try:
             assert "pool" not in serial.cache_stats()

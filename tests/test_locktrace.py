@@ -6,8 +6,8 @@
   held, naming the lock, and ``allow_across_map`` locks are exempt;
 - ``make_lock`` is a plain ``threading.Lock`` when tracking is off
   (the zero-overhead default) and a :class:`TrackedLock` when on;
-- a real ``ScoringSession`` serving workload (score / submit / refit /
-  refit_delta) run under tracking exhibits an acyclic lock order --
+- a real ``ScoringSession`` serving workload (score / concurrent fused
+  ``score_batch`` / refit / refit_delta) run under tracking exhibits an acyclic lock order --
   this is the assertion CI re-runs the concurrency suites for.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import pickle
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core import ScoringSession, WorkerPool
@@ -251,33 +252,43 @@ def _serving_workload(monkeypatch):
         dataset.labels,
         method="precreccorr",
         workers=2,
-        micro_batch="auto",
-        micro_batch_wait_seconds=0.0,
     )
+    observations = dataset.observations
+    half = np.arange(observations.n_triples) < observations.n_triples // 2
+    matrices = [
+        observations.restricted_to_triples(half),
+        observations.restricted_to_triples(~half),
+    ]
+    outcomes: list = []
+
+    def score_fused():
+        outcomes.append(session.score_batch(matrices))
+
     try:
-        session.score(dataset.observations)
-        threads = [
-            threading.Thread(
-                target=session.submit, args=(dataset.observations,)
-            )
-            for _ in range(4)
-        ]
+        session.score(observations)
+        threads = [threading.Thread(target=score_fused) for _ in range(4)]
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join()
+        # Fused scoring races both refit flavours.
         flipped = dataset.labels.copy()
         flipped[:5] = ~flipped[:5]
-        session.refit_delta(dataset.observations, flipped)
-        session.refit(dataset.observations, dataset.labels)
-        session.score(dataset.observations)
+        session.refit_delta(observations, flipped)
+        session.refit(observations, dataset.labels)
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        session.score(observations)
     finally:
         session.close()
+    assert len(outcomes) == 4
+    for outcome in outcomes:
+        assert outcome.fused_requests == 2
+        assert outcome.errors == [None, None]
 
 
 def test_serving_stack_lock_order_is_acyclic(monkeypatch):
-    """The CI gate: a full serving workload (score, concurrent submit,
-    delta refit, cold refit, close) exhibits an acyclic lock order and
+    """The CI gate: a full serving workload (score, concurrent fused
+    score_batch, delta refit, cold refit, close) exhibits an acyclic lock order and
     zero held-lock-across-map hazards."""
     _serving_workload(monkeypatch)
     report = lock_order_report()

@@ -1,6 +1,6 @@
 """The sharded parallel execution subsystem (repro.core.parallel).
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 - **planner/pool mechanics** -- word-aligned balanced shards, ordered maps,
   worker-count validation (``workers=0`` must raise, not crash a pool),
@@ -14,11 +14,16 @@ Three layers of guarantees:
   :class:`ScoringSession` while ``refit`` fires: no torn reads (every
   returned vector matches one model generation's golden scores exactly)
   and single-flight compilation (each plan digest compiled at most once
-  per generation).
+  per generation);
+- **pool lifecycle** -- ``WorkerPool`` closes idempotently, degrades
+  post-close maps to inline execution, reclaims orphaned executors
+  through its GC finalizer, and ``ScoringSession.refit``/``close`` shut
+  retired pools down without breaking in-flight scorers.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
 
 import numpy as np
@@ -500,3 +505,82 @@ class TestConcurrentServing:
             assert not thread.is_alive()
         for scores in results:
             assert np.array_equal(reference, scores)
+
+
+# ----------------------------------------------------------------------
+# Worker-pool lifecycle
+# ----------------------------------------------------------------------
+
+
+class TestWorkerPoolLifecycle:
+    def test_close_is_idempotent_and_degrades_maps_inline(self):
+        pool = WorkerPool(workers=2)
+        assert pool.map(lambda x: x + 1, range(4)) == [1, 2, 3, 4]
+        assert not pool.closed
+        pool.close()
+        pool.close()
+        assert pool.closed
+        # Post-close maps run inline instead of raising.
+        assert pool.map(lambda x: x * 2, range(3)) == [0, 2, 4]
+
+    def test_gc_finalizer_shuts_down_orphaned_executors(self):
+        pool = WorkerPool(workers=2)
+        pool.map(lambda x: x, range(4))  # force executor creation
+        executor = pool._executor
+        assert executor is not None and not executor._shutdown
+        del pool
+        gc.collect()
+        assert executor._shutdown
+
+    def test_context_manager_closes_the_pool(self):
+        with WorkerPool(workers=2) as pool:
+            assert pool.map(lambda x: x, range(4)) == [0, 1, 2, 3]
+        assert pool.closed
+
+    def test_fuser_close_shuts_its_executor_down(self):
+        dataset = _dataset(seed=19, n_sources=6, n_triples=120)
+        model = fit_model(dataset.observations, dataset.labels)
+        with make_fuser("exact", model, workers=2) as fuser:
+            executor = fuser.executor
+            assert executor is not None and not executor.closed
+            before = fuser.score(dataset.observations)
+        assert executor.closed
+        # Scoring still works after close -- inline execution.
+        assert np.array_equal(before, fuser.score(dataset.observations))
+
+    def test_refit_closes_retired_pools_but_not_the_live_ones(self):
+        dataset = _dataset(seed=23, n_sources=6, n_triples=120)
+        session = ScoringSession(
+            dataset.observations, dataset.labels, method="exact", workers=2
+        )
+        retired_fuser = session.fuser
+        retired_model = session.model
+        session.score(dataset.observations)
+        session.refit(dataset.observations, dataset.labels, smoothing=1.0)
+        assert retired_fuser.executor.closed
+        assert retired_model._executor is None or retired_model._executor.closed
+        live = session.fuser
+        assert live.executor is not None and not live.executor.closed
+        # The retired fuser still scores (inline) -- in-flight holders of
+        # the old generation degrade, they do not break.
+        scores = retired_fuser.score(dataset.observations)
+        assert scores.shape == (dataset.observations.n_triples,)
+
+    def test_session_close_is_idempotent_and_keeps_scoring(self):
+        dataset = _dataset(seed=29, n_sources=6, n_triples=120)
+        with ScoringSession(
+            dataset.observations, dataset.labels, method="exact", workers=2
+        ) as session:
+            before = session.score(dataset.observations)
+        session.close()
+        assert np.array_equal(before, session.score(dataset.observations))
+
+    def test_close_after_refit_closes_the_live_generation(self):
+        dataset = _dataset(seed=31, n_sources=6, n_triples=120)
+        session = ScoringSession(
+            dataset.observations, dataset.labels, method="exact", workers=2
+        )
+        session.refit(dataset.observations, dataset.labels, smoothing=1.0)
+        live = session.fuser
+        session.close()
+        assert live.executor.closed

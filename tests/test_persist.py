@@ -645,6 +645,38 @@ class TestCheckpointRecovery:
         session.close()
         recovered.session.close()
 
+    @pytest.mark.parametrize("legacy_mode", ["auto", "off"])
+    def test_snapshot_with_retired_micro_batch_key_recovers(
+        self, tmp_path, legacy_mode
+    ):
+        # Snapshots written while sessions still had a threaded batcher
+        # carry a "micro_batch" entry in their config; recovery ignores
+        # it and rebuilds a session that scores bit-identically.
+        matrix, labels = small_matrix(seed=5)
+        session = ScoringSession(matrix, labels, method="precreccorr")
+        checkpointer = Checkpointer.attach(session, matrix, labels, tmp_path)
+        current = mutate(matrix, 31)
+        checkpointer.log_mutation(current)
+        session.refit_delta(current, labels)
+        checkpointer.close()
+        session.attach_checkpointer(None)
+
+        (path,) = iter_snapshot_paths(tmp_path)
+        state = load_snapshot(path)
+        assert "micro_batch" not in state.config
+        state.config["micro_batch"] = legacy_mode
+        index, _ = parse_snapshot_name(path)
+        assert write_snapshot(tmp_path, state, index) == path
+        assert load_snapshot(path).config["micro_batch"] == legacy_mode
+
+        recovered = RecoveryManager(tmp_path).recover()
+        assert recovered.generation == 1
+        assert recovered.refits_replayed == 1
+        assert recovered.statistics_verified
+        _assert_recovered_scores_match(recovered, session, current)
+        session.close()
+        recovered.session.close()
+
 
 class TestMutationTraces:
     def test_record_then_replay_reproduces_the_matrices(self, tmp_path):

@@ -576,11 +576,3 @@ def test_scoring_session_refuses_to_pickle():
     session = ScoringSession.__new__(ScoringSession)
     with pytest.raises(TypeError, match="process-local"):
         pickle.dumps(session)
-
-
-def test_micro_batcher_refuses_to_pickle():
-    from repro.core.api import MicroBatcher
-
-    batcher = MicroBatcher.__new__(MicroBatcher)
-    with pytest.raises(TypeError, match="process-local"):
-        pickle.dumps(batcher)
