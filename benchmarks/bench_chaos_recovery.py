@@ -21,7 +21,7 @@ recovery *costs*, not just whether it happens:
   and serve on, and the *next* refit must succeed.
 
 Always-enforced gates (any machine): every run terminates with complete
-accounting (``run_serving_chaos`` raises on hangs, leaks, or accounting
+accounting (``run_serving_load`` raises on hangs, leaks, or accounting
 gaps), served scores are bit-identical to a fault-free cold twin, the
 kill cell actually restarted the pool, the raise cell actually degraded,
 and the refit cell rolled back exactly one refit.  The recovery-latency
@@ -51,7 +51,7 @@ from repro.data import (
     uniform_sources,
 )
 from repro.eval import format_table
-from repro.eval.harness import run_serving_chaos
+from repro.eval.harness import run_serving_load
 
 JSON_PATH = RESULTS_DIR / "BENCH_chaos_recovery.json"
 
@@ -129,7 +129,7 @@ def _chaos(dataset, kind: str, spec: str, requests: int, **overrides) -> dict:
         "seed": SEED,
     }
     settings.update(overrides)
-    report = run_serving_chaos(dataset, fault_spec=spec, **settings)
+    report = run_serving_load(dataset, fault_spec=spec, **settings)
     return _report_row(kind, report)
 
 

@@ -20,6 +20,7 @@ import math
 import sys
 from typing import Mapping, Optional, Sequence
 
+from repro.core import faults
 from repro.core.api import METHOD_NAMES, fuse
 from repro.core.clustering import discovered_correlation_groups, pairwise_correlations
 from repro.core.api import fit_model
@@ -29,7 +30,6 @@ from repro.eval.harness import (
     paper_method_specs,
     run_comparison,
     run_serving,
-    run_serving_chaos,
     run_serving_load,
 )
 from repro.eval.metrics import auc_pr, auc_roc, binary_metrics
@@ -563,65 +563,15 @@ def _serve_engine_options(args: argparse.Namespace) -> dict:
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     dataset = get_dataset(args.dataset, seed=args.seed)
+    fault_spec = None
     if args.chaos:
-        return _serve_chaos(args, dataset)
-    report = run_serving_load(
-        dataset,
-        method=args.method,
-        rate_qps=args.rate,
-        requests=args.requests,
-        request_triples=args.request_triples,
-        latency_budget=args.budget,
-        batch_cutoff=args.cutoff,
-        fixed_window_seconds=args.fixed_window,
-        max_queue_depth=args.max_queue_depth,
-        max_inflight_bytes=args.max_inflight_bytes,
-        mutate_frac=args.mutate_frac,
-        refit_every=args.refit_every,
-        refit_mode=args.refit_mode,
-        workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-        **_serve_engine_options(args),
-    )
-    print(dataset.summary())
-    rows = [
-        ["cutoff", report.batch_cutoff],
-        ["offered rate (qps)", f"{report.rate_qps:.1f}"],
-        ["requests", str(report.requests)],
-        ["completed", str(report.completed)],
-        ["shed", str(report.shed)],
-        ["achieved qps", f"{report.achieved_qps:.1f}"],
-        ["p50 latency (ms)", f"{report.p50_latency_seconds * 1e3:.2f}"],
-        ["p99 latency (ms)", f"{report.p99_latency_seconds * 1e3:.2f}"],
-        ["max latency (ms)", f"{report.max_latency_seconds * 1e3:.2f}"],
-        ["refits", str(report.refits)],
-        ["max |served - direct|", f"{report.max_abs_diff:.1e}"],
-    ]
-    print(format_table(["serving", "value"], rows))
-    routing = report.routing_stats
-    admission = report.admission_stats
-    print(
-        f"\nlanes: delta={routing.get('delta_routed', 0)} "
-        f"cold={routing.get('cold_routed', 0)} "
-        f"(churn evictions: {routing.get('churn_evictions', 0)}); "
-        f"admission peak depth {admission.get('peak_depth', 0)}/"
-        f"{admission.get('max_queue_depth', 0)}"
-    )
-    if report.checkpoint_stats:
-        print(_checkpoint_line(report.checkpoint_stats))
-    if report.max_abs_diff != 0.0:
-        print(
-            "error: served scores diverged from direct session.score",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _serve_chaos(args: argparse.Namespace, dataset) -> int:
-    """``serve-bench --chaos``: a seeded fault replay with hard asserts."""
+        # --faults, else an armed $REPRO_FAULTS plan (the driver reuses
+        # it), else a random plan drawn from --chaos-seed.
+        fault_spec = args.faults
+        if fault_spec is None and faults.active_injector() is None:
+            fault_spec = faults.FaultPlan.random(args.chaos_seed).spec
     try:
-        report = run_serving_chaos(
+        report = run_serving_load(
             dataset,
             method=args.method,
             rate_qps=args.rate,
@@ -636,41 +586,56 @@ def _serve_chaos(args: argparse.Namespace, dataset) -> int:
             refit_every=args.refit_every,
             refit_mode=args.refit_mode,
             workers=args.workers,
-            fault_spec=args.faults,
-            fault_seed=args.chaos_seed,
             checkpoint_dir=args.checkpoint_dir,
+            fault_spec=fault_spec,
             **_serve_engine_options(args),
         )
     except RuntimeError as error:
-        # A violated chaos invariant (hang, accounting gap, admission
-        # leak, bit-identity break) -- the whole point of the command.
+        # A violated serving invariant (hang, accounting gap, admission
+        # leak, bit-identity break) -- what the command exists to catch.
         print(f"error: {error}", file=sys.stderr)
         return 1
     print(dataset.summary())
     fired = report.fault_stats.get("fired", {})
     rows = [
-        ["fault plan", report.fault_spec],
+        ["cutoff", report.batch_cutoff],
+        ["fault plan", report.fault_spec or "none"],
         ["faults fired", ", ".join(
             f"{site}x{n}" for site, n in sorted(fired.items())
         ) or "none"],
+        ["offered rate (qps)", f"{report.rate_qps:.1f}"],
         ["requests", str(report.requests)],
         ["completed", str(report.completed)],
         ["shed", str(report.shed)],
         ["failed", str(report.failed)],
+        ["achieved qps", f"{report.achieved_qps:.1f}"],
+        ["p50 latency (ms)", f"{report.p50_latency_seconds * 1e3:.2f}"],
+        ["p99 latency (ms)", f"{report.p99_latency_seconds * 1e3:.2f}"],
+        ["max latency (ms)", f"{report.max_latency_seconds * 1e3:.2f}"],
         ["retries", str(report.retries)],
         ["degraded batches", str(report.degraded_batches)],
         ["forced degrades", str(report.forced_degrades)],
         ["refit attempts", str(report.refit_attempts)],
         ["refit failures", str(report.refit_failures)],
+        ["refits", str(report.refits)],
         ["pool restarts", str(report.pool_stats.get("restarts", 0))],
         ["admission depth after", str(report.admission_depth_after)],
         ["max |served - twin|", f"{report.max_abs_diff:.1e}"],
     ]
-    print(format_table(["chaos", "value"], rows))
+    print(format_table(["serving", "value"], rows))
+    routing = report.routing_stats
+    admission = report.admission_stats
+    print(
+        f"\nlanes: delta={routing.get('delta_routed', 0)} "
+        f"cold={routing.get('cold_routed', 0)} "
+        f"(churn evictions: {routing.get('churn_evictions', 0)}); "
+        f"admission peak depth {admission.get('peak_depth', 0)}/"
+        f"{admission.get('max_queue_depth', 0)}"
+    )
     if report.checkpoint_stats:
         print(_checkpoint_line(report.checkpoint_stats))
     print(
-        "\nall admitted requests terminated, the admission ledger drained "
+        "all admitted requests terminated, the admission ledger drained "
         "to zero, and completed scores are bit-identical to the "
         "fault-free cold twin"
     )

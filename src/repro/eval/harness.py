@@ -14,6 +14,7 @@ The harness owns three jobs:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -627,20 +628,29 @@ class AsyncServingReport:
     arrival time (``start + k / rate_qps``), not from when the generator
     got around to submitting it, so a backlogged server cannot hide
     queueing delay the way a closed-loop measurement would.
-    ``max_abs_diff`` is the largest ``|served - direct session.score|``
-    over every completed request, each checked against an independent
-    delta-off twin session of the generation that served it -- exactly
-    0.0 is the contract, including for requests served across a
-    mid-traffic refit.  Shed requests (typed ``Overloaded`` rejections)
-    are counted, never silently retried.
+
+    A returned report certifies the serving contract, which
+    :func:`run_serving_load` checks by raising: every request
+    *terminated* -- ``completed + shed + failed == requests`` with
+    nothing hung -- the admission ledger drained to exactly zero depth
+    and in-flight bytes, and ``max_abs_diff``, the largest
+    ``|served - direct session.score|`` over every completed request
+    against an independent delta-off twin of the generation that served
+    it, is exactly 0.0.  Shed requests (typed ``Overloaded`` rejections)
+    are counted, never silently retried.  ``failed`` counts requests
+    whose future resolved with another error; that is a legal terminal
+    outcome only under a fault plan (``fault_spec``, ``None`` for a
+    fault-free run).
     """
 
     method: str
     batch_cutoff: str
+    fault_spec: Optional[str]
     rate_qps: float
     requests: int
     completed: int
     shed: int
+    failed: int
     duration_seconds: float
     achieved_qps: float
     latency_budget: float
@@ -650,15 +660,29 @@ class AsyncServingReport:
     max_latency_seconds: float
     max_abs_diff: float
     refits: int
+    refit_attempts: int
+    refit_failures: int
+    retries: int
+    degraded_batches: int
+    forced_degrades: int
+    admission_depth_after: int
+    admission_inflight_bytes_after: int
     latencies: tuple[float, ...] = ()
     admission_stats: Mapping = field(default_factory=dict)
     routing_stats: Mapping = field(default_factory=dict)
     frontend_stats: Mapping = field(default_factory=dict)
     checkpoint_stats: Mapping = field(default_factory=dict)
+    fault_stats: Mapping = field(default_factory=dict)
+    pool_stats: Mapping = field(default_factory=dict)
+    resilience_stats: Mapping = field(default_factory=dict)
 
     @property
     def shed_fraction(self) -> float:
         return self.shed / self.requests if self.requests else 0.0
+
+    @property
+    def terminated(self) -> int:
+        return self.completed + self.shed + self.failed
 
 
 def _latency_percentile(latencies: Sequence[float], q: float) -> float:
@@ -687,6 +711,8 @@ def run_serving_load(
     workers: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     snapshot_every: int = 4,
+    fault_spec: Optional[str] = None,
+    max_seconds: float = 120.0,
     **options: Any,
 ) -> AsyncServingReport:
     """Drive the async front end with an open-loop load generator.
@@ -705,301 +731,48 @@ def run_serving_load(
     ``refit_mode``, exercising the drain -> swap -> replay protocol
     under live traffic.
 
-    Every completed request is verified bit-for-bit against an
-    independent delta-off twin session of the generation that served it
-    (cold-fitted on exactly the inputs that generation was fitted on);
-    the largest difference lands in ``max_abs_diff`` and must be exactly
-    0.0.  ``method="em"`` cannot be combined with ``refit_every > 0``:
-    warm-started EM refits are not bitwise reproducible, so no
-    independent oracle exists.
+    ``fault_spec`` replays the trace under a
+    :class:`~repro.core.faults.FaultPlan` (e.g.
+    ``"worker:kill:2,score:raise:1:0"``; ``FaultPlan.random(n).spec``
+    for a seeded random plan), installed for the traffic phase and
+    uninstalled before verification.  With ``fault_spec=None`` an
+    injector that is already installed (``REPRO_FAULTS`` or the
+    caller's) drives the run and stays installed; with neither the run
+    is fault-free.  Every run uses the same resilience settings --
+    retries with jitter seeded from ``seed``, a scoring watchdog, and
+    degrading circuit breakers.
+
+    The run *asserts* the serving contract and raises ``RuntimeError``
+    on any violation:
+
+    - complete accounting: every request terminates as completed, shed
+      (typed ``Overloaded``), or failed, at most ``max_seconds`` after
+      its last scheduled arrival -- a hang is a failure, not a wait;
+    - admission drain: queue depth and in-flight bytes are exactly zero
+      after the front end closes (no leaked budget on any error path);
+    - bit-identity: every completed request matches an independent
+      delta-off twin session of the generation that served it
+      (cold-fitted on exactly that generation's inputs; only applied
+      refits make generations) with ``max_abs_diff == 0.0``.
+
+    Without a fault plan a failed request or refit is itself a defect,
+    and its error is re-raised.  ``method="em"`` cannot be combined
+    with ``refit_every > 0``: warm-started EM refits are not bitwise
+    reproducible, so no independent oracle exists.
 
     ``checkpoint_dir`` arms durability: a
     :class:`~repro.persist.Checkpointer` is attached through the front
     end, so every mid-traffic generation swap lands in the WAL (input
     mutation + begin/publish) and snapshots follow the
     ``snapshot_every`` cadence; its counters land in
-    ``checkpoint_stats``.
-    """
-    from repro.serve import AsyncServingFrontend, Overloaded
+    ``checkpoint_stats``.  Under a fault plan, ``persist``-site faults
+    may land in those writes, and the checkpointer must absorb them --
+    retrying once off its self-repaired tail, then degrading visibly
+    (``checkpoint_stats["degraded"]``) rather than ever failing the
+    serving path.
 
-    if rate_qps <= 0.0:
-        raise ValueError(f"rate_qps must be positive, got {rate_qps}")
-    if requests < 1:
-        raise ValueError(f"requests must be >= 1, got {requests}")
-    if refit_every < 0:
-        raise ValueError(
-            f"refit_every must be non-negative, got {refit_every}"
-        )
-    refit_mode = check_refit_mode(refit_mode)
-    if refit_every > 0 and method.lower() == "em":
-        raise ValueError(
-            "refit_every > 0 is not supported with method='em': warm EM "
-            "refits are not bitwise reproducible, so served scores have "
-            "no independent oracle"
-        )
-    session = ScoringSession(
-        dataset.observations,
-        dataset.labels,
-        method=method,
-        workers=workers,
-        **options,
-    )
-    trace = serving_request_trace(
-        dataset.observations,
-        requests,
-        request_triples,
-        mutate_frac=mutate_frac,
-        seed=seed,
-        cold_every=cold_every,
-    )
-    # Full-matrix refit inputs, one per scheduled refit, continuing the
-    # request trace's mutation stream deterministically.
-    n_refits = requests // refit_every if refit_every > 0 else 0
-    refit_matrices = mutation_trace(
-        dataset.observations, n_refits, mutate_frac, seed=seed + 1
-    )
-    checkpointer = None
-    if checkpoint_dir is not None:
-        from repro.persist import Checkpointer
-
-        checkpointer = Checkpointer(
-            Path(checkpoint_dir), snapshot_every=snapshot_every
-        )
-        checkpointer.begin(session, dataset.observations, dataset.labels)
-    frontend = AsyncServingFrontend(
-        session,
-        max_queue_depth=max_queue_depth,
-        max_inflight_bytes=max_inflight_bytes,
-        max_batch_requests=max_batch_requests,
-        default_latency_budget=latency_budget,
-        batch_cutoff=batch_cutoff,
-        fixed_window_seconds=fixed_window_seconds,
-        checkpointer=checkpointer,
-    )
-    results: list[Optional[Any]] = [None] * requests
-    shed = 0
-    latencies: list[float] = []
-
-    async def _run() -> float:
-        nonlocal shed
-        async with frontend:
-            loop = asyncio.get_running_loop()
-            start = loop.time()
-
-            async def fire(k: int, matrix: ObservationMatrix) -> None:
-                nonlocal shed
-                scheduled = start + k / rate_qps
-                delay = scheduled - loop.time()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                try:
-                    results[k] = await frontend.submit_detailed(
-                        matrix, latency_budget=latency_budget
-                    )
-                except Overloaded:
-                    shed += 1
-                    return
-                latencies.append(loop.time() - scheduled)
-
-            async def refit_at(g: int, matrix: ObservationMatrix) -> None:
-                scheduled = start + (g + 1) * refit_every / rate_qps
-                delay = scheduled - loop.time()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                await frontend.refit(matrix, dataset.labels, mode=refit_mode)
-
-            tasks = [
-                asyncio.ensure_future(fire(k, matrix))
-                for k, matrix in enumerate(trace)
-            ]
-            tasks.extend(
-                asyncio.ensure_future(refit_at(g, matrix))
-                for g, matrix in enumerate(refit_matrices)
-            )
-            await asyncio.gather(*tasks)
-            return loop.time() - start
-
-    duration = asyncio.run(_run())
-    # Bit-identity oracle: one independent delta-off twin per generation,
-    # cold-fitted on exactly that generation's training inputs.  Delta
-    # refits of count-based models are bit-identical to cold refits, so
-    # the twin reproduces the serving session's scores exactly.
-    fit_inputs = [dataset.observations] + refit_matrices
-    twins: dict[int, ScoringSession] = {}
-    max_abs_diff = 0.0
-    try:
-        for k, result in enumerate(results):
-            if result is None:
-                continue
-            generation = int(result.generation)
-            twin = twins.get(generation)
-            if twin is None:
-                twin = ScoringSession(
-                    fit_inputs[generation],
-                    dataset.labels,
-                    method=method,
-                    workers=workers,
-                    delta="off",
-                    **options,
-                )
-                twins[generation] = twin
-            direct = twin.score(trace[k])
-            if len(result.scores):
-                diff = float(np.abs(result.scores - direct).max())
-                max_abs_diff = max(max_abs_diff, diff)
-    finally:
-        for twin in twins.values():
-            twin.close()
-        session.close()
-    stats = frontend.stats
-    checkpoint_stats: Mapping = {}
-    if checkpointer is not None:
-        checkpoint_stats = checkpointer.stats
-        checkpointer.close()
-        session.attach_checkpointer(None)
-    completed = sum(1 for result in results if result is not None)
-    return AsyncServingReport(
-        method=method,
-        batch_cutoff=batch_cutoff,
-        rate_qps=float(rate_qps),
-        requests=requests,
-        completed=completed,
-        shed=shed,
-        duration_seconds=float(duration),
-        achieved_qps=completed / duration if duration > 0 else float("nan"),
-        latency_budget=float(latency_budget),
-        p50_latency_seconds=_latency_percentile(latencies, 50.0),
-        p99_latency_seconds=_latency_percentile(latencies, 99.0),
-        mean_latency_seconds=(
-            float(np.mean(latencies)) if latencies else float("nan")
-        ),
-        max_latency_seconds=(
-            float(np.max(latencies)) if latencies else float("nan")
-        ),
-        max_abs_diff=max_abs_diff,
-        refits=int(stats["refits"]),
-        latencies=tuple(latencies),
-        admission_stats=dict(stats["admission"]),
-        routing_stats=dict(stats["routing"]),
-        frontend_stats={
-            "lanes": stats["lanes"],
-            "fused_requests": stats["fused_requests"],
-            "largest_batch": stats["largest_batch"],
-            "batch_cutoff": stats["batch_cutoff"],
-        },
-        checkpoint_stats=checkpoint_stats,
-    )
-
-
-# ----------------------------------------------------------------------
-# Chaos replay: the serving front end under deterministic fault injection
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ServingChaosReport:
-    """One seeded chaos replay through the async serving front end.
-
-    The contract a passing report certifies: under the injected fault
-    schedule (``fault_spec``), every admitted request *terminated* --
-    ``completed + shed + failed == requests`` with nothing hung -- the
-    admission ledger drained to exactly zero depth and zero in-flight
-    bytes, and every completed request's scores are **bit-identical**
-    (``max_abs_diff == 0.0``) to an independent fault-free cold twin of
-    the generation that served it.  ``failed`` counts requests whose
-    future resolved with a non-``Overloaded`` error; the degradation
-    ladder makes this rare (only dispatch-site faults or per-request
-    cold-scoring errors reach callers), but a typed failure is a legal
-    terminal outcome -- a hang is not.
-    """
-
-    method: str
-    fault_spec: str
-    rate_qps: float
-    requests: int
-    completed: int
-    shed: int
-    failed: int
-    refit_attempts: int
-    refit_failures: int
-    refits: int
-    duration_seconds: float
-    max_abs_diff: float
-    retries: int
-    degraded_batches: int
-    forced_degrades: int
-    admission_depth_after: int
-    admission_inflight_bytes_after: int
-    fault_stats: Mapping = field(default_factory=dict)
-    pool_stats: Mapping = field(default_factory=dict)
-    admission_stats: Mapping = field(default_factory=dict)
-    resilience_stats: Mapping = field(default_factory=dict)
-    checkpoint_stats: Mapping = field(default_factory=dict)
-
-    @property
-    def terminated(self) -> int:
-        return self.completed + self.shed + self.failed
-
-
-def run_serving_chaos(
-    dataset: FusionDataset,
-    method: str = "precreccorr",
-    rate_qps: float = 200.0,
-    requests: int = 120,
-    request_triples: int = 96,
-    latency_budget: float = 0.05,
-    batch_cutoff: str = "deadline",
-    fixed_window_seconds: float = 0.04,
-    max_batch_requests: int = 32,
-    max_queue_depth: int = 256,
-    max_inflight_bytes: Optional[int] = None,
-    mutate_frac: float = 0.02,
-    cold_every: int = 4,
-    seed: int = 0,
-    refit_every: int = 0,
-    refit_mode: str = "delta",
-    workers: Optional[int] = None,
-    fault_spec: Optional[str] = None,
-    fault_seed: int = 0,
-    scoring_timeout: Optional[float] = 1.0,
-    max_retries: int = 2,
-    breaker_threshold: int = 5,
-    breaker_cooldown: float = 0.25,
-    breaker_policy: str = "degrade",
-    max_seconds: float = 120.0,
-    checkpoint_dir: Optional[str] = None,
-    snapshot_every: int = 4,
-    **options: Any,
-) -> ServingChaosReport:
-    """Replay an open-loop serving trace under a seeded fault schedule.
-
-    The same open-loop arrival process as :func:`run_serving_load`, but
-    with a :class:`~repro.core.faults.FaultPlan` installed for the
-    duration of the traffic phase: ``fault_spec`` names an explicit
-    schedule (``"worker:kill:2,score:raise:1:0"``), otherwise an
-    already-installed injector (e.g. from ``REPRO_FAULTS``) is reused,
-    otherwise ``FaultPlan.random(fault_seed)`` draws one.  The injector
-    is uninstalled before verification, so the bit-identity twins run
-    fault-free.
-
-    The run *asserts* the fault-tolerance contract and raises
-    ``RuntimeError`` on any violation:
-
-    - complete accounting: every request terminates as completed, shed
-      (typed ``Overloaded``), or failed -- within ``max_seconds`` wall
-      clock, so a hang is a failure, not a wait;
-    - admission drain: queue depth and in-flight bytes are exactly zero
-      after the front end closes (no leaked budget on any error path);
-    - bit-identity: completed scores match a fault-free delta-off cold
-      twin of the serving generation with ``max_abs_diff == 0.0`` --
-      every degradation-ladder rung is exactness-preserving.
-
-    ``checkpoint_dir`` additionally arms durability *under* the fault
-    schedule: ``persist``-site faults (torn writes, IO errors) may then
-    land inside WAL appends and snapshot writes, and the checkpointer
-    must absorb them -- retrying once off its self-repaired tail, then
-    degrading visibly (``checkpoint_stats["degraded"]``) rather than
-    ever failing the serving path.
+    The fault plan, the session and the checkpointer are released on
+    every exit path, errors included.
     """
     from repro.core import faults
     from repro.serve import AsyncServingFrontend, Overloaded, RetryPolicy
@@ -1021,28 +794,6 @@ def run_serving_chaos(
             "refits are not bitwise reproducible, so served scores have "
             "no independent oracle"
         )
-    # Fault schedule precedence: explicit spec > pre-installed injector
-    # (REPRO_FAULTS or a caller's plan) > a seeded random draw.  Only
-    # plans this function installs are uninstalled by it.
-    owned = False
-    if fault_spec is not None:
-        injector = faults.install(faults.FaultPlan.from_spec(fault_spec))
-        owned = True
-    else:
-        existing = faults.active_injector()
-        if existing is not None:
-            injector = existing
-        else:
-            injector = faults.install(faults.FaultPlan.random(fault_seed))
-            owned = True
-    effective_spec = injector.plan.spec
-    session = ScoringSession(
-        dataset.observations,
-        dataset.labels,
-        method=method,
-        workers=workers,
-        **options,
-    )
     trace = serving_request_trace(
         dataset.observations,
         requests,
@@ -1051,44 +802,21 @@ def run_serving_chaos(
         seed=seed,
         cold_every=cold_every,
     )
+    # Full-matrix refit inputs, one per scheduled refit, continuing the
+    # request trace's mutation stream deterministically.
     n_refits = requests // refit_every if refit_every > 0 else 0
     refit_matrices = mutation_trace(
         dataset.observations, n_refits, mutate_frac, seed=seed + 1
     )
-    checkpointer = None
-    if checkpoint_dir is not None:
-        from repro.persist import Checkpointer
-
-        # Armed while the injector is live: persist faults can land in
-        # this begin() (snapshot 0) and in every append below -- the
-        # checkpointer's absorb-and-degrade policy is under test too.
-        checkpointer = Checkpointer(
-            Path(checkpoint_dir), snapshot_every=snapshot_every
-        )
-        checkpointer.begin(session, dataset.observations, dataset.labels)
-    frontend = AsyncServingFrontend(
-        session,
-        max_queue_depth=max_queue_depth,
-        max_inflight_bytes=max_inflight_bytes,
-        max_batch_requests=max_batch_requests,
-        default_latency_budget=latency_budget,
-        batch_cutoff=batch_cutoff,
-        fixed_window_seconds=fixed_window_seconds,
-        checkpointer=checkpointer,
-        retry_policy=RetryPolicy(max_retries=max_retries, jitter_seed=seed),
-        scoring_timeout=scoring_timeout,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown,
-        breaker_policy=breaker_policy,
-    )
     results: list[Optional[Any]] = [None] * requests
     errors: "dict[int, BaseException]" = {}
+    refit_errors: list[BaseException] = []
     applied_refits: list[ObservationMatrix] = []
+    latencies: list[float] = []
     shed = 0
-    refit_failures = 0
 
-    async def _run() -> float:
-        nonlocal shed, refit_failures
+    async def _traffic(frontend: AsyncServingFrontend, plan: str) -> float:
+        nonlocal shed
         async with frontend:
             loop = asyncio.get_running_loop()
             start = loop.time()
@@ -1105,11 +833,13 @@ def run_serving_chaos(
                     )
                 except Overloaded:
                     shed += 1
-                except Exception as error:  # fault-barrier: a typed per-request failure is a legal chaos outcome; record it for the accounting check
+                    return
+                except Exception as error:  # fault-barrier: a typed per-request failure is legal under a fault plan; record it for the accounting check
                     errors[k] = error
+                    return
+                latencies.append(loop.time() - scheduled)
 
             async def refit_at(g: int, matrix: ObservationMatrix) -> None:
-                nonlocal refit_failures
                 scheduled = start + (g + 1) * refit_every / rate_qps
                 delay = scheduled - loop.time()
                 if delay > 0:
@@ -1118,8 +848,8 @@ def run_serving_chaos(
                     await frontend.refit(
                         matrix, dataset.labels, mode=refit_mode
                     )
-                except Exception:  # fault-barrier: an injected refit fault must roll back, not abort the replay
-                    refit_failures += 1
+                except Exception as error:  # fault-barrier: an injected refit fault must roll back, not abort the run
+                    refit_errors.append(error)
                 else:
                     applied_refits.append(matrix)
 
@@ -1131,42 +861,81 @@ def run_serving_chaos(
                 asyncio.ensure_future(refit_at(g, matrix))
                 for g, matrix in enumerate(refit_matrices)
             )
-            gathered = asyncio.gather(*tasks)
             try:
-                await asyncio.wait_for(gathered, timeout=max_seconds)
+                await asyncio.wait_for(
+                    asyncio.gather(*tasks),
+                    timeout=max_seconds + (requests - 1) / rate_qps,
+                )
             except asyncio.TimeoutError:
                 for task in tasks:
                     task.cancel()
                 raise RuntimeError(
-                    "chaos accounting violation: replay did not terminate "
-                    f"within {max_seconds}s (possible hang) under fault "
-                    f"plan {effective_spec!r}"
+                    "serving accounting violation: the run did not "
+                    f"terminate within {max_seconds}s of its last arrival "
+                    f"(possible hang) under fault plan {plan}"
                 ) from None
             return loop.time() - start
 
-    try:
-        duration = asyncio.run(_run())
-    except BaseException:
-        if checkpointer is not None:
-            checkpointer.close()
-        session.close()
-        raise
-    finally:
-        # Freeze fault accounting and disarm injection before the twin
-        # phase: verification sessions must run fault-free.
-        fault_stats = injector.stats
-        if owned:
-            faults.uninstall()
-    admission_stats = dict(frontend.stats["admission"])
-    resilience_stats = dict(frontend.stats["resilience"])
-    pool_stats = dict(session.cache_stats().get("pool", {}))
-    checkpoint_stats: Mapping = {}
-    if checkpointer is not None:
-        checkpoint_stats = checkpointer.stats
-        checkpointer.close()
-        session.attach_checkpointer(None)
-    # Bit-identity oracle, as in run_serving_load: one fault-free
-    # delta-off twin per generation that actually served traffic.
+    with contextlib.ExitStack() as traffic:
+        # Armed before the checkpointer begins: persist faults can land
+        # in its first snapshot and every append after it.
+        injector: Optional[faults.FaultInjector]
+        if fault_spec is not None:
+            injector = faults.install(faults.FaultPlan.from_spec(fault_spec))
+            traffic.callback(faults.uninstall)
+        else:
+            injector = faults.active_injector()
+        plan = repr(injector.plan.spec) if injector is not None else "none"
+        session = traffic.enter_context(
+            ScoringSession(
+                dataset.observations,
+                dataset.labels,
+                method=method,
+                workers=workers,
+                **options,
+            )
+        )
+        checkpointer = None
+        if checkpoint_dir is not None:
+            from repro.persist import Checkpointer
+
+            checkpointer = Checkpointer(
+                Path(checkpoint_dir), snapshot_every=snapshot_every
+            )
+            traffic.callback(checkpointer.close)
+            checkpointer.begin(session, dataset.observations, dataset.labels)
+        frontend = AsyncServingFrontend(
+            session,
+            max_queue_depth=max_queue_depth,
+            max_inflight_bytes=max_inflight_bytes,
+            max_batch_requests=max_batch_requests,
+            default_latency_budget=latency_budget,
+            batch_cutoff=batch_cutoff,
+            fixed_window_seconds=fixed_window_seconds,
+            checkpointer=checkpointer,
+            retry_policy=RetryPolicy(max_retries=2, jitter_seed=seed),
+            scoring_timeout=1.0,
+            breaker_threshold=5,
+            breaker_cooldown=0.25,
+            breaker_policy="degrade",
+        )
+        duration = asyncio.run(_traffic(frontend, plan))
+        # Without a fault plan any failure is a defect: re-raise the first.
+        if injector is None and (errors or refit_errors):
+            raise [*errors.values(), *refit_errors][0]
+        # Counters are read before the exit stack closes the checkpointer
+        # and the session and disarms an owned plan, so that the twins
+        # below run without it.
+        fault_stats = injector.stats if injector is not None else {}
+        stats = frontend.stats
+        pool_stats = dict(session.cache_stats().get("pool", {}))
+        checkpoint_stats = (
+            checkpointer.stats if checkpointer is not None else {}
+        )
+    # Bit-identity oracle: one independent delta-off twin per generation,
+    # cold-fitted on exactly that generation's training inputs.  Delta
+    # refits of count-based models are bit-identical to cold refits, so
+    # the twin reproduces the serving session's scores exactly.
     fit_inputs = [dataset.observations] + applied_refits
     twins: "dict[int, ScoringSession]" = {}
     max_abs_diff = 0.0
@@ -1193,51 +962,70 @@ def run_serving_chaos(
     finally:
         for twin in twins.values():
             twin.close()
-        session.close()
+    admission = dict(stats["admission"])
+    resilience = dict(stats["resilience"])
     completed = sum(1 for result in results if result is not None)
-    failed = len(errors)
-    report = ServingChaosReport(
+    report = AsyncServingReport(
         method=method,
-        fault_spec=effective_spec,
+        batch_cutoff=batch_cutoff,
+        fault_spec=injector.plan.spec if injector is not None else None,
         rate_qps=float(rate_qps),
         requests=requests,
         completed=completed,
         shed=shed,
-        failed=failed,
-        refit_attempts=n_refits,
-        refit_failures=refit_failures,
-        refits=int(frontend.stats["refits"]),
+        failed=len(errors),
         duration_seconds=float(duration),
+        achieved_qps=completed / duration if duration > 0 else float("nan"),
+        latency_budget=float(latency_budget),
+        p50_latency_seconds=_latency_percentile(latencies, 50.0),
+        p99_latency_seconds=_latency_percentile(latencies, 99.0),
+        mean_latency_seconds=(
+            float(np.mean(latencies)) if latencies else float("nan")
+        ),
+        max_latency_seconds=(
+            float(np.max(latencies)) if latencies else float("nan")
+        ),
         max_abs_diff=max_abs_diff,
-        retries=int(resilience_stats["retries"]),
-        degraded_batches=int(resilience_stats["degraded_batches"]),
-        forced_degrades=int(resilience_stats["forced_degrades"]),
-        admission_depth_after=int(admission_stats["depth"]),
-        admission_inflight_bytes_after=int(admission_stats["inflight_bytes"]),
+        refits=int(stats["refits"]),
+        refit_attempts=n_refits,
+        refit_failures=len(refit_errors),
+        retries=int(resilience["retries"]),
+        degraded_batches=int(resilience["degraded_batches"]),
+        forced_degrades=int(resilience["forced_degrades"]),
+        admission_depth_after=int(admission["depth"]),
+        admission_inflight_bytes_after=int(admission["inflight_bytes"]),
+        latencies=tuple(latencies),
+        admission_stats=admission,
+        routing_stats=dict(stats["routing"]),
+        frontend_stats={
+            "lanes": stats["lanes"],
+            "fused_requests": stats["fused_requests"],
+            "largest_batch": stats["largest_batch"],
+            "batch_cutoff": stats["batch_cutoff"],
+        },
+        checkpoint_stats=checkpoint_stats,
         fault_stats=fault_stats,
         pool_stats=pool_stats,
-        admission_stats=admission_stats,
-        resilience_stats=resilience_stats,
-        checkpoint_stats=checkpoint_stats,
+        resilience_stats=resilience,
     )
     if report.terminated != requests:
         raise RuntimeError(
-            "chaos accounting violation: "
-            f"completed({completed}) + shed({shed}) + failed({failed}) "
-            f"!= requests({requests}) under fault plan {effective_spec!r}"
+            "serving accounting violation: "
+            f"completed({completed}) + shed({shed}) + failed({report.failed}) "
+            f"!= requests({requests}) under fault plan {plan}"
         )
     if report.admission_depth_after or report.admission_inflight_bytes_after:
         raise RuntimeError(
-            "chaos admission leak: after drain depth="
+            "serving admission leak: after drain depth="
             f"{report.admission_depth_after}, inflight_bytes="
             f"{report.admission_inflight_bytes_after} (both must be 0) "
-            f"under fault plan {effective_spec!r}"
+            f"under fault plan {plan}"
         )
     if max_abs_diff != 0.0:
         raise RuntimeError(
-            "chaos bit-identity violation: max |served - cold twin| = "
+            "serving bit-identity violation: max |served - cold twin| = "
             f"{max_abs_diff!r} (must be exactly 0.0) under fault plan "
-            f"{effective_spec!r}"
+            f"{plan}"
         )
     return report
 

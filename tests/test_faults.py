@@ -17,7 +17,7 @@ Two layers under test:
 The property-based chaos test at the bottom is satellite S4: random
 seeded fault plans against random backend/worker configurations, with
 the accounting, no-hang, and bit-identity invariants asserted by
-``run_serving_chaos`` itself.
+``run_serving_load`` itself.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.core.faults import (
 )
 from repro.core.parallel import WorkerPool
 from repro.data import SyntheticConfig, generate, uniform_sources
-from repro.eval.harness import run_serving_chaos
+from repro.eval.harness import run_serving_load
 
 
 @pytest.fixture(autouse=True)
@@ -377,7 +377,7 @@ def _chaos_dataset():
 class TestChaosProperties:
     """Satellite S4: seeded chaos across backends and worker counts.
 
-    ``run_serving_chaos`` itself raises on any violated invariant --
+    ``run_serving_load`` itself raises on any violated invariant --
     incomplete accounting, a hang past ``max_seconds``, an admission
     leak, or any non-zero score difference against the fault-free cold
     twin -- so the property body only has to drive it.
@@ -403,11 +403,11 @@ class TestChaosProperties:
             # writes, and the checkpointer must absorb them (repair or
             # degrade) without ever failing the serving path.
             with tempfile.TemporaryDirectory() as tmp:
-                report = run_serving_chaos(
+                report = run_serving_load(
                     _chaos_dataset(),
                     requests=12,
                     rate_qps=300.0,
-                    fault_seed=fault_seed,
+                    fault_spec=FaultPlan.random(fault_seed).spec,
                     workers=workers,
                     parallel_backend=backend,
                     shard_size=64,

@@ -22,14 +22,14 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core import ObservationMatrix, ScoringSession
+from repro.core import ObservationMatrix, ScoringSession, faults
 from repro.data import (
     CorrelationGroup,
     SyntheticConfig,
     generate,
     uniform_sources,
 )
-from repro.eval.harness import run_serving_chaos, run_serving_load
+from repro.eval.harness import run_serving_load
 from repro.serve import (
     COLD_LANE,
     DELTA_LANE,
@@ -472,6 +472,12 @@ class TestServingLoadHarness:
             assert (
                 report.p99_latency_seconds >= report.p50_latency_seconds
             )
+        # Fault-free: nothing failed, retried or degraded.
+        assert report.fault_spec is None
+        assert report.failed == 0
+        assert report.retries == 0
+        assert report.degraded_batches == 0
+        assert report.terminated == report.requests
 
     def test_em_with_refits_is_rejected(self):
         # Warm-started EM is not bitwise reproducible, so there is no
@@ -483,17 +489,60 @@ class TestServingLoadHarness:
             )
 
 
+    def test_fault_free_refit_failure_raises(self, monkeypatch):
+        # Without a fault plan a failed refit is a defect, not an outcome
+        # to count: the driver re-raises it after releasing the run.
+        def broken_refit(self, *args, **kwargs):
+            raise ValueError("broken refit")
+
+        monkeypatch.setattr(ScoringSession, "refit_delta", broken_refit)
+        dataset = _dataset(seed=35, n_sources=5, correlated=False)
+        with pytest.raises(ValueError, match="broken refit"):
+            run_serving_load(
+                dataset,
+                method="exact",
+                rate_qps=400.0,
+                requests=8,
+                request_triples=48,
+                refit_every=4,
+            )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"method": "nosuch"},
+            {"batch_cutoff": "bogus"},
+            {"max_batch_requests": 0},
+        ],
+    )
+    def test_failed_start_releases_the_fault_plan(self, bad):
+        # A run that cannot start must not leave its plan installed: every
+        # later scoring in the process would run under injected faults.
+        dataset = _dataset(seed=33, n_sources=5, correlated=False)
+        try:
+            with pytest.raises(ValueError):
+                run_serving_load(
+                    dataset,
+                    requests=4,
+                    fault_spec="score:raise:1:0",
+                    **bad,
+                )
+            assert faults.active_injector() is None
+        finally:
+            faults.uninstall()
+
+
 class TestServingChaosHarness:
-    # run_serving_chaos installs (and uninstalls) its own fault plan and
-    # self-checks its three hard invariants -- termination, a drained
-    # admission ledger, and bit-identity -- by raising; these tests pin
-    # the reported numbers on top.
+    # With a fault_spec, run_serving_load installs (and uninstalls) that
+    # plan and self-checks its three hard invariants -- termination, a
+    # drained admission ledger, and bit-identity -- by raising; these
+    # tests pin the reported numbers on top.
 
     def test_persistent_scoring_fault_degrades_but_stays_bit_identical(
         self,
     ):
         dataset = _dataset(seed=37, n_sources=6, n_triples=160)
-        report = run_serving_chaos(
+        report = run_serving_load(
             dataset,
             method="exact",
             rate_qps=400.0,
@@ -513,7 +562,7 @@ class TestServingChaosHarness:
 
     def test_refit_fault_rolls_back_then_recovers(self):
         dataset = _dataset(seed=39, n_sources=6, n_triples=160)
-        report = run_serving_chaos(
+        report = run_serving_load(
             dataset,
             method="exact",
             rate_qps=400.0,
@@ -532,13 +581,13 @@ class TestServingChaosHarness:
     def test_random_plans_are_seed_deterministic(self):
         dataset = _dataset(seed=41, n_sources=6, n_triples=160)
         reports = [
-            run_serving_chaos(
+            run_serving_load(
                 dataset,
                 method="exact",
                 rate_qps=400.0,
                 requests=8,
                 request_triples=48,
-                fault_seed=11,
+                fault_spec=faults.FaultPlan.random(11).spec,
                 seed=7,
             )
             for _ in range(2)
@@ -546,3 +595,26 @@ class TestServingChaosHarness:
         assert reports[0].fault_spec == reports[1].fault_spec
         assert all(r.terminated == r.requests for r in reports)
         assert all(r.max_abs_diff == 0.0 for r in reports)
+
+    def test_preinstalled_injector_drives_the_run_and_stays_installed(self):
+        # fault_spec=None reuses an injector the caller (or REPRO_FAULTS)
+        # installed, and leaves it installed: the driver only uninstalls
+        # plans it installed itself.
+        dataset = _dataset(seed=43, n_sources=6, n_triples=160)
+        injector = faults.install(faults.FaultPlan.from_spec("score:raise:1"))
+        try:
+            report = run_serving_load(
+                dataset,
+                method="exact",
+                rate_qps=400.0,
+                requests=8,
+                request_triples=48,
+                seed=9,
+            )
+            assert faults.active_injector() is injector
+        finally:
+            faults.uninstall()
+        assert report.fault_spec == injector.plan.spec
+        assert report.fault_stats["fired"]
+        assert report.terminated == report.requests
+        assert report.max_abs_diff == 0.0
