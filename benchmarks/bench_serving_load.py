@@ -26,7 +26,8 @@ The p99 gate is enforced on runners with >= 4 cores and recorded as
 skipped below that (shared 1-core CI boxes time too noisily to gate on;
 same policy as ``bench_delta_serving``).  **Bit-identity is always
 enforced**: max |served - direct| must be exactly 0.0 in every cell,
-shedding and refits included.
+shedding and refits included.  Every cell is fault-free, so it must
+also report zero scoring retries and zero degraded batches.
 
 Runnable two ways::
 
@@ -104,6 +105,8 @@ def _report_row(kind: str, report) -> dict:
         "max_latency_seconds": report.max_latency_seconds,
         "refits": report.refits,
         "max_abs_diff": report.max_abs_diff,
+        "retries": report.retries,
+        "degraded_batches": report.degraded_batches,
         "delta_routed": report.routing_stats.get("delta_routed", 0),
         "cold_routed": report.routing_stats.get("cold_routed", 0),
         "shed_queue_depth": report.admission_stats.get(
@@ -203,6 +206,8 @@ def _headline(rows: list[dict]) -> dict:
         "overload_completed": overload["completed"],
         "refits": refit["refits"],
         "max_abs_diff": max(r["max_abs_diff"] for r in rows),
+        "retries": sum(r["retries"] for r in rows),
+        "degraded_batches": sum(r["degraded_batches"] for r in rows),
     }
 
 
@@ -250,6 +255,12 @@ def _check(headline: dict) -> list[str]:
             "served scores are not bit-identical to direct session.score "
             f"(max |diff| = {headline['max_abs_diff']:.3e})"
         )
+    if headline["retries"] or headline["degraded_batches"]:
+        errors.append(
+            f"fault-free cells retried {headline['retries']} attempt(s) "
+            f"and degraded {headline['degraded_batches']} batch(es); "
+            "both must be 0 without a fault plan"
+        )
     if headline["overload_shed"] <= 0:
         errors.append(
             "overload cell shed nothing: admission control failed to "
@@ -277,6 +288,8 @@ def bench_serving_load(benchmark):
     _persist(rows, headline)
     emit("serving_load", _render(rows, headline))
     assert headline["max_abs_diff"] == 0.0
+    assert headline["retries"] == 0
+    assert headline["degraded_batches"] == 0
     assert headline["overload_shed"] > 0
 
 

@@ -685,6 +685,10 @@ class AsyncServingReport:
         return self.completed + self.shed + self.failed
 
 
+#: Hang bound: seconds a load run may go on past its last arrival.
+_HANG_SECONDS = 120.0
+
+
 def _latency_percentile(latencies: Sequence[float], q: float) -> float:
     if not latencies:
         return float("nan")
@@ -712,7 +716,6 @@ def run_serving_load(
     checkpoint_dir: Optional[str] = None,
     snapshot_every: int = 4,
     fault_spec: Optional[str] = None,
-    max_seconds: float = 120.0,
     **options: Any,
 ) -> AsyncServingReport:
     """Drive the async front end with an open-loop load generator.
@@ -738,16 +741,17 @@ def run_serving_load(
     uninstalled before verification.  With ``fault_spec=None`` an
     injector that is already installed (``REPRO_FAULTS`` or the
     caller's) drives the run and stays installed; with neither the run
-    is fault-free.  Every run uses the same resilience settings --
-    retries with jitter seeded from ``seed``, a scoring watchdog, and
-    degrading circuit breakers.
+    is fault-free.  Every run uses the same retry policy (jitter seeded
+    from ``seed``) and degrading circuit breakers; the 1 s scoring
+    watchdog is armed only under a fault plan, so a fault-free batch
+    that is slow but correct shows up as latency, never as a retry.
 
     The run *asserts* the serving contract and raises ``RuntimeError``
     on any violation:
 
     - complete accounting: every request terminates as completed, shed
-      (typed ``Overloaded``), or failed, at most ``max_seconds`` after
-      its last scheduled arrival -- a hang is a failure, not a wait;
+      (typed ``Overloaded``), or failed, at most 120 s after its last
+      scheduled arrival -- a hang is a failure, not a wait;
     - admission drain: queue depth and in-flight bytes are exactly zero
       after the front end closes (no leaked budget on any error path);
     - bit-identity: every completed request matches an independent
@@ -755,10 +759,11 @@ def run_serving_load(
       (cold-fitted on exactly that generation's inputs; only applied
       refits make generations) with ``max_abs_diff == 0.0``.
 
-    Without a fault plan a failed request or refit is itself a defect,
-    and its error is re-raised.  ``method="em"`` cannot be combined
-    with ``refit_every > 0``: warm-started EM refits are not bitwise
-    reproducible, so no independent oracle exists.
+    Without a fault plan a failed request or refit is itself a defect:
+    the run raises ``RuntimeError`` chained to the first such error.
+    ``method="em"`` cannot be combined with ``refit_every > 0``:
+    warm-started EM refits are not bitwise reproducible, so no
+    independent oracle exists.
 
     ``checkpoint_dir`` arms durability: a
     :class:`~repro.persist.Checkpointer` is attached through the front
@@ -785,8 +790,6 @@ def run_serving_load(
         raise ValueError(
             f"refit_every must be non-negative, got {refit_every}"
         )
-    if max_seconds <= 0.0:
-        raise ValueError(f"max_seconds must be positive, got {max_seconds}")
     refit_mode = check_refit_mode(refit_mode)
     if refit_every > 0 and method.lower() == "em":
         raise ValueError(
@@ -864,14 +867,14 @@ def run_serving_load(
             try:
                 await asyncio.wait_for(
                     asyncio.gather(*tasks),
-                    timeout=max_seconds + (requests - 1) / rate_qps,
+                    timeout=_HANG_SECONDS + (requests - 1) / rate_qps,
                 )
             except asyncio.TimeoutError:
                 for task in tasks:
                     task.cancel()
                 raise RuntimeError(
                     "serving accounting violation: the run did not "
-                    f"terminate within {max_seconds}s of its last arrival "
+                    f"terminate within {_HANG_SECONDS}s of its last arrival "
                     f"(possible hang) under fault plan {plan}"
                 ) from None
             return loop.time() - start
@@ -914,15 +917,18 @@ def run_serving_load(
             fixed_window_seconds=fixed_window_seconds,
             checkpointer=checkpointer,
             retry_policy=RetryPolicy(max_retries=2, jitter_seed=seed),
-            scoring_timeout=1.0,
+            scoring_timeout=1.0 if injector is not None else None,
             breaker_threshold=5,
             breaker_cooldown=0.25,
             breaker_policy="degrade",
         )
         duration = asyncio.run(_traffic(frontend, plan))
-        # Without a fault plan any failure is a defect: re-raise the first.
+        # Without a fault plan any failure is a defect.
         if injector is None and (errors or refit_errors):
-            raise [*errors.values(), *refit_errors][0]
+            first = [*errors.values(), *refit_errors][0]
+            raise RuntimeError(
+                f"serving failure without a fault plan: {first!r}"
+            ) from first
         # Counters are read before the exit stack closes the checkpointer
         # and the session and disarms an owned plan, so that the twins
         # below run without it.
@@ -939,29 +945,24 @@ def run_serving_load(
     fit_inputs = [dataset.observations] + applied_refits
     twins: "dict[int, ScoringSession]" = {}
     max_abs_diff = 0.0
-    try:
+    with contextlib.ExitStack() as twin_sessions:
         for k, result in enumerate(results):
-            if result is None:
+            if result is None or not len(result.scores):
                 continue
             generation = int(result.generation)
-            twin = twins.get(generation)
-            if twin is None:
-                twin = ScoringSession(
-                    fit_inputs[generation],
-                    dataset.labels,
-                    method=method,
-                    workers=workers,
-                    delta="off",
-                    **options,
+            if generation not in twins:
+                twins[generation] = twin_sessions.enter_context(
+                    ScoringSession(
+                        fit_inputs[generation],
+                        dataset.labels,
+                        method=method,
+                        workers=workers,
+                        delta="off",
+                        **options,
+                    )
                 )
-                twins[generation] = twin
-            direct = twin.score(trace[k])
-            if len(result.scores):
-                diff = float(np.abs(result.scores - direct).max())
-                max_abs_diff = max(max_abs_diff, diff)
-    finally:
-        for twin in twins.values():
-            twin.close()
+            diff = np.abs(result.scores - twins[generation].score(trace[k]))
+            max_abs_diff = max(max_abs_diff, float(diff.max()))
     admission = dict(stats["admission"])
     resilience = dict(stats["resilience"])
     completed = sum(1 for result in results if result is not None)

@@ -378,9 +378,9 @@ class TestChaosProperties:
     """Satellite S4: seeded chaos across backends and worker counts.
 
     ``run_serving_load`` itself raises on any violated invariant --
-    incomplete accounting, a hang past ``max_seconds``, an admission
-    leak, or any non-zero score difference against the fault-free cold
-    twin -- so the property body only has to drive it.
+    incomplete accounting, a hang, an admission leak, or any non-zero
+    score difference against the fault-free cold twin -- so the property
+    body only has to drive it.
     """
 
     @settings(
@@ -412,7 +412,6 @@ class TestChaosProperties:
                     parallel_backend=backend,
                     shard_size=64,
                     refit_every=6,
-                    max_seconds=90.0,
                     checkpoint_dir=os.path.join(tmp, "ckpt"),
                 )
         finally:

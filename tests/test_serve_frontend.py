@@ -18,6 +18,7 @@ The contract under test, in priority order:
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -491,13 +492,14 @@ class TestServingLoadHarness:
 
     def test_fault_free_refit_failure_raises(self, monkeypatch):
         # Without a fault plan a failed refit is a defect, not an outcome
-        # to count: the driver re-raises it after releasing the run.
+        # to count: the driver raises it as a serving violation after
+        # releasing the run.
         def broken_refit(self, *args, **kwargs):
             raise ValueError("broken refit")
 
         monkeypatch.setattr(ScoringSession, "refit_delta", broken_refit)
         dataset = _dataset(seed=35, n_sources=5, correlated=False)
-        with pytest.raises(ValueError, match="broken refit"):
+        with pytest.raises(RuntimeError, match="broken refit") as caught:
             run_serving_load(
                 dataset,
                 method="exact",
@@ -506,6 +508,33 @@ class TestServingLoadHarness:
                 request_triples=48,
                 refit_every=4,
             )
+        assert isinstance(caught.value.__cause__, ValueError)
+
+    def test_fault_free_slow_batch_is_latency_not_a_retry(self, monkeypatch):
+        # The scoring watchdog is armed only under a fault plan: a correct
+        # batch slower than its 1 s budget must not be retried or degraded.
+        score_batch = ScoringSession.score_batch
+        calls = []
+
+        def slow_first_batch(self, *args, **kwargs):
+            if not calls:
+                time.sleep(1.2)
+            calls.append(1)
+            return score_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScoringSession, "score_batch", slow_first_batch)
+        dataset = _dataset(seed=35, n_sources=5, correlated=False)
+        report = run_serving_load(
+            dataset,
+            method="exact",
+            rate_qps=400.0,
+            requests=4,
+            request_triples=48,
+        )
+        assert report.max_latency_seconds >= 1.2
+        assert report.retries == 0
+        assert report.degraded_batches == 0
+        assert report.completed == report.requests
 
     @pytest.mark.parametrize(
         "bad",
