@@ -60,7 +60,6 @@ from repro.core.plans import (
     ElasticUnionPlan,
     ExactUnionPlan,
     PatternValueMemo,
-    UnionCollector,
     pattern_digest,
     pattern_row_keys,
 )
@@ -169,7 +168,6 @@ __all__ = [
     "Triple",
     "TripleIndex",
     "TruthFuser",
-    "UnionCollector",
     "correlation_clusters",
     "default_workers",
     "derive_false_positive_rate",

@@ -5,9 +5,10 @@ and the clustered fuser built on top of both all evaluate sums whose terms
 are joint-model look-ups ``r_{S}`` / ``q_{S}`` over subset unions
 ``providers + S*``.  Their batched execution paths share one pipeline:
 
-1. **collect** -- enumerate each pattern's unions exactly once,
-   deduplicated by int bitmask (:class:`UnionCollector`; most unions repeat
-   across patterns);
+1. **collect** -- enumerate every pattern's unions as packed ``uint64``
+   bitmask words, a group of same-width silent sets at a time, and
+   deduplicate them in first-sighting order (most unions repeat across
+   patterns);
 2. **evaluate** -- hand the distinct union rows to
    :meth:`~repro.core.joint.JointQualityModel.joint_params_batch` in one
    vectorized call;
@@ -50,7 +51,9 @@ the reference walk.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -62,12 +65,7 @@ from repro.core.locktrace import make_lock
 import numpy as np
 
 from repro.util.probability import PROBABILITY_FLOOR
-from repro.util.subsets import (
-    count_subsets,
-    iter_subsets,
-    iter_subsets_of_size,
-    subset_parity,
-)
+from repro.util.subsets import iter_subsets, iter_subsets_of_size, subset_parity
 
 #: Default cap on cached compiled plans per fuser.  Each entry holds the
 #: plan's flat index/sign arrays plus (for the fusers that attach them) the
@@ -75,104 +73,6 @@ from repro.util.subsets import (
 #: memo policy -- the cache is bounded and long-lived serving processes
 #: cannot grow without limit.  Eviction is least-recently-used.
 DEFAULT_PLAN_CACHE_ENTRIES = 64
-
-
-class UnionCollector:
-    """Deduplicating collector of subset-union rows for batched evaluation.
-
-    The inclusion-exclusion fusers enumerate unions ``providers + subset``
-    per pattern; most unions repeat across patterns.  The collector keys
-    each union by an int bitmask (cheap to build and hash), materialises a
-    boolean source row only on first sighting, and hands the distinct rows
-    to :meth:`JointQualityModel.joint_params_batch` in one call.
-    """
-
-    __slots__ = ("_bits", "_index", "_rows", "_n_sources")
-
-    def __init__(self, n_sources: int) -> None:
-        self._bits = [1 << i for i in range(n_sources)]
-        self._index: dict[int, int] = {}
-        self._rows: list[np.ndarray] = []
-        self._n_sources = n_sources
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def mask_of(self, source_ids: Iterable[int]) -> int:
-        """Bitmask of a collection of source ids.
-
-        Raises ``ValueError`` on ids outside ``[0, n_sources)`` (an
-        ``IndexError`` -- or, for negative ids, a silently wrapped bit --
-        would mislabel the union) and on duplicate ids (a duplicate is a
-        caller bug that the OR would silently swallow, leaving the mask
-        inconsistent with the id list the caller evaluates).
-        """
-        mask = 0
-        n = self._n_sources
-        for i in source_ids:
-            if not 0 <= i < n:
-                raise ValueError(
-                    f"source id {i} out of range for {n} sources"
-                )
-            bit = 1 << i
-            if mask & bit:
-                raise ValueError(
-                    f"duplicate source id {i} in union; ids must be distinct"
-                )
-            mask |= bit
-        return mask
-
-    def bit(self, source_id: int) -> int:
-        """The single-source bitmask; raises ``ValueError`` out of range."""
-        if not 0 <= source_id < self._n_sources:
-            raise ValueError(
-                f"source id {source_id} out of range for "
-                f"{self._n_sources} sources"
-            )
-        return self._bits[source_id]
-
-    def add(
-        self, mask: int, base_row: np.ndarray, extra_ids: Iterable[int]
-    ) -> int:
-        """Index of the union ``base_row | extra_ids`` identified by ``mask``.
-
-        ``mask`` must equal the bitmask of the union; ``base_row`` (a boolean
-        source row) and ``extra_ids`` are only consulted when the mask is new.
-        A writable ``base_row`` is copied before it is stored: keeping a live
-        view would let a later in-place mutation of the source row silently
-        corrupt the collected plan.  Read-only rows (pattern matrices are
-        frozen with ``setflags(write=False)``) are stored as-is.
-        """
-        index = self._index.get(mask)
-        if index is None:
-            index = len(self._rows)
-            self._index[mask] = index
-            if extra_ids:
-                row = base_row.copy()
-                row[list(extra_ids)] = True
-            elif base_row.flags.writeable:
-                row = base_row.copy()
-            else:
-                row = base_row
-            self._rows.append(row)
-        return index
-
-    def rows(self) -> np.ndarray:
-        """All distinct union rows, shape ``(n_distinct, n_sources)``."""
-        if not self._rows:
-            return np.zeros((0, self._n_sources), dtype=bool)
-        return np.array(self._rows, dtype=bool)
-
-
-def pattern_source_lists(
-    provider_matrix: np.ndarray, silent_matrix: np.ndarray
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Sorted provider / silent id lists for each pattern row."""
-    provider_lists = [
-        np.flatnonzero(row).tolist() for row in provider_matrix
-    ]
-    silent_lists = [np.flatnonzero(row).tolist() for row in silent_matrix]
-    return provider_lists, silent_lists
 
 
 def model_supports_batch(model: Any, n_sources: int) -> bool:
@@ -192,9 +92,8 @@ def scalar_likelihoods(
     receives each pattern's sorted provider and silent id lists (the
     fusers pass their bitmask-keyed ``_masked_likelihoods``).
     """
-    provider_lists, silent_lists = pattern_source_lists(
-        provider_matrix, silent_matrix
-    )
+    provider_lists = [np.flatnonzero(row).tolist() for row in provider_matrix]
+    silent_lists = [np.flatnonzero(row).tolist() for row in silent_matrix]
     n_patterns = provider_matrix.shape[0]
     numerators = np.empty(n_patterns, dtype=float)
     denominators = np.empty(n_patterns, dtype=float)
@@ -205,28 +104,186 @@ def scalar_likelihoods(
     return numerators, denominators
 
 
-class ExactUnionPlan:
-    """Batched Eq. 10-11 plan over a set of ``(providers, silent)`` patterns.
+# ----------------------------------------------------------------------
+# Bitmask enumeration: the collect step, vectorized
+# ----------------------------------------------------------------------
 
-    :meth:`build` performs the collect step (every subset union of every
-    pattern, deduplicated by bitmask); :meth:`accumulate` re-runs the
-    inclusion-exclusion sums per pattern in the legacy term order over the
-    batch-evaluated ``(r, q)`` values, flooring both sides at
-    ``PROBABILITY_FLOOR`` exactly like the scalar
-    :meth:`~repro.core.exact.ExactCorrelationFuser.pattern_likelihoods`.
+
+@functools.lru_cache(maxsize=256)
+def _combinations(n_items: int, size: int) -> np.ndarray:
+    """``itertools.combinations(range(n_items), size)`` as a table.
+
+    One row per subset, in ``combinations`` order -- the legacy term
+    order within one subset size.  Module-level ``lru_cache`` keeps the
+    memo bounded and a pure function of its integer arguments (REP004);
+    the tables are read-only so no caller can corrupt a shared entry.
     """
+    subsets = itertools.combinations(range(n_items), size)
+    table = np.fromiter(
+        itertools.chain.from_iterable(subsets), dtype=np.int64
+    ).reshape(math.comb(n_items, size), size)
+    table.setflags(write=False)
+    return table
 
-    __slots__ = ("rows", "silent_lists", "term_index")
+
+def _subset_blocks(
+    sizes: np.ndarray, max_size: Optional[int], smallest: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Row-major term layout of every pattern's silent subsets.
+
+    A pattern with ``s`` silent sources contributes its subsets of each
+    size ``smallest..cap`` (``cap = s``, or ``min(max_size, s)``), size by
+    size and in ``combinations`` order within a size -- the order of
+    :func:`~repro.util.subsets.iter_subsets` and the scalar walks.
+    Patterns follow one another.  Returns ``(lengths, blocks)``: each
+    pattern's term count, and one ``(members, table, slots)`` block per
+    (silent-set size, subset size) pair -- the patterns of that silent
+    size, the ``(T, l)`` table of positions in their silent-id rows, and
+    the ``(len(members), T)`` flat term positions the subsets occupy.
+    """
+    distinct = np.unique(sizes).tolist()
+    per_size = np.zeros(max(distinct, default=0) + 1, dtype=np.int64)
+    layout: list[tuple[np.ndarray, np.ndarray, int]] = []
+    for s in distinct:
+        members = np.flatnonzero(sizes == s)
+        cap = s if max_size is None else min(max_size, s)
+        offset = 0
+        for l in range(smallest, cap + 1):
+            table = _combinations(s, l)
+            layout.append((members, table, offset))
+            offset += len(table)
+        per_size[s] = offset
+    lengths = per_size[sizes]
+    starts = np.cumsum(lengths) - lengths
+    blocks = [
+        (members, table, starts[members, None] + offset + np.arange(len(table)))
+        for members, table, offset in layout
+    ]
+    return lengths, blocks
+
+
+def _pack_words(matrix: np.ndarray) -> np.ndarray:
+    """Boolean ``(rows, n)`` matrix as ``(rows, ceil(n / 64))`` uint64 words.
+
+    Bit ``i`` of a row is bit ``i % 64`` of word ``i // 64``; a row needs
+    at least one word, so zero-width matrices pack to one zero word.
+    """
+    n_rows, n_cols = matrix.shape
+    packed = np.zeros((n_rows, 8 * max(1, -(-n_cols // 64))), dtype=np.uint8)
+    packed[:, : -(-n_cols // 8)] = np.packbits(
+        matrix, axis=1, bitorder="little"
+    )
+    return packed.view("<u8")
+
+
+def _first_sighting(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``words`` in first-sighting order, and row ids.
+
+    ``ids[t]`` is the rank of row ``t``'s first occurrence among the
+    distinct rows -- exactly the index a dict keyed by the row, filled in
+    order, would hand out.  Sorting brings equal rows together (in any
+    order: the sort need not be stable), the minimum original position in
+    each run of equal rows is that row's first sighting, and ranking the
+    runs by first sighting restores the dict's order.
+    """
+    if words.shape[1] == 1:  # an unstable argsort beats the stable lexsort
+        perm = np.argsort(words[:, 0])
+    else:
+        perm = np.lexsort(words.T)
+    ordered = words[perm]
+    new_run = np.ones(len(perm), dtype=bool)
+    new_run[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    run = np.cumsum(new_run, dtype=np.int64) - 1
+    first = np.full(np.count_nonzero(new_run), len(perm))
+    np.minimum.at(first, run, perm)
+    order = np.argsort(first)
+    ids = np.empty(len(perm), dtype=np.int64)
+    ids[perm] = np.argsort(order)[run]
+    return words[first[order]], ids
+
+
+def _silent_ids(silent_matrix: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each pattern's sorted silent ids, zero-padded to the widest set."""
+    rows, columns = np.nonzero(silent_matrix)
+    starts = np.cumsum(sizes) - sizes
+    ids = np.zeros((len(sizes), int(sizes.max(initial=0))), dtype=np.int64)
+    ids[rows, np.arange(len(rows)) - starts[rows]] = columns
+    return ids
+
+
+def _union_terms(
+    provider_matrix: np.ndarray,
+    sizes: np.ndarray,
+    silent_ids: np.ndarray,
+    max_size: Optional[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pattern's unions ``providers + subset``, deduplicated.
+
+    Subsets run over sizes ``0..cap`` (see :func:`_subset_blocks`); each
+    union is the pattern's packed provider words OR-ed with the single-bit
+    words of the subset's members, built a whole (silent size, subset
+    size) block at a time.  Returns ``(rows, term_ids, lengths)``: the
+    distinct union rows in first-sighting order, each term's row id, and
+    each pattern's term count.
+    """
+    n_sources = provider_matrix.shape[1]
+    base = _pack_words(provider_matrix)
+    bits = _pack_words(np.eye(n_sources, dtype=bool))
+    lengths, blocks = _subset_blocks(sizes, max_size, 0)
+    words = np.empty((int(lengths.sum()), base.shape[1]), dtype=base.dtype)
+    for members, table, slots in blocks:
+        block = np.repeat(base[members][:, None, :], len(table), axis=1)
+        ids = silent_ids[members]
+        for column in table.T:
+            block |= bits[ids[:, column]]
+        words[slots] = block
+    unique, term_ids = _first_sighting(words)
+    rows = np.unpackbits(
+        unique.view(np.uint8), axis=1, count=n_sources, bitorder="little"
+    ).view(bool)
+    return rows, term_ids, lengths
+
+
+class _UnionPlan:
+    """Silent-set bookkeeping shared by the exact and elastic plans."""
+
+    __slots__ = ("rows", "silent_sizes", "silent_ids", "term_index")
 
     def __init__(
         self,
         rows: np.ndarray,
-        silent_lists: list[list[int]],
-        term_index: list[int],
+        silent_sizes: np.ndarray,
+        silent_ids: np.ndarray,
+        term_index: np.ndarray,
     ) -> None:
         self.rows = rows
-        self.silent_lists = silent_lists
+        self.silent_sizes = silent_sizes
+        self.silent_ids = silent_ids
         self.term_index = term_index
+
+    @property
+    def silent_lists(self) -> list[list[int]]:
+        """Each pattern's sorted silent ids (the scalar walks' input)."""
+        return [
+            ids[:size]
+            for ids, size in zip(
+                self.silent_ids.tolist(), self.silent_sizes.tolist()
+            )
+        ]
+
+
+class ExactUnionPlan(_UnionPlan):
+    """Batched Eq. 10-11 plan over a set of ``(providers, silent)`` patterns.
+
+    :meth:`build` performs the collect step (every subset union of every
+    pattern, deduplicated in first-sighting order); :meth:`accumulate`
+    re-runs the inclusion-exclusion sums per pattern in the legacy term
+    order over the batch-evaluated ``(r, q)`` values, flooring both sides
+    at ``PROBABILITY_FLOOR`` exactly like the scalar
+    :meth:`~repro.core.exact.ExactCorrelationFuser.pattern_likelihoods`.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def build(
@@ -237,26 +294,19 @@ class ExactUnionPlan:
     ) -> "ExactUnionPlan":
         """Collect every subset union of every pattern, once each.
 
-        ``width_check`` (when given) receives each pattern's silent-set size
-        before its ``2^{|silent|}`` unions are enumerated -- the exact fuser
-        passes its ``max_silent_sources`` guard.
+        ``width_check`` (when given) receives each pattern's silent-set
+        size, in pattern order, before any union is enumerated -- the
+        exact fuser passes its ``max_silent_sources`` guard.
         """
-        provider_lists, silent_lists = pattern_source_lists(
-            provider_matrix, silent_matrix
+        sizes = np.count_nonzero(silent_matrix, axis=1).astype(np.int64)
+        if width_check is not None:
+            for size in sizes.tolist():
+                width_check(size)
+        silent_ids = _silent_ids(silent_matrix, sizes)
+        rows, term_index, _ = _union_terms(
+            provider_matrix, sizes, silent_ids, None
         )
-        collector = UnionCollector(provider_matrix.shape[1])
-        term_index: list[int] = []
-        for k, silent in enumerate(silent_lists):
-            if width_check is not None:
-                width_check(len(silent))
-            base_row = provider_matrix[k]
-            base_mask = collector.mask_of(provider_lists[k])
-            for subset in iter_subsets(silent):
-                mask = base_mask
-                for i in subset:
-                    mask |= collector.bit(i)
-                term_index.append(collector.add(mask, base_row, subset))
-        return cls(collector.rows(), silent_lists, term_index)
+        return cls(rows, sizes, silent_ids, term_index)
 
     def accumulate(
         self, recalls: np.ndarray, fprs: np.ndarray
@@ -264,16 +314,18 @@ class ExactUnionPlan:
         """Per-pattern floored ``(Pr(Ot | t), Pr(Ot | not t))`` arrays."""
         recall_list = recalls.tolist()
         fpr_list = fprs.tolist()
-        n_patterns = len(self.silent_lists)
+        term_index = self.term_index.tolist()
+        silent_lists = self.silent_lists
+        n_patterns = len(silent_lists)
         numerators = np.empty(n_patterns, dtype=float)
         denominators = np.empty(n_patterns, dtype=float)
         position = 0
-        for k, silent in enumerate(self.silent_lists):
+        for k, silent in enumerate(silent_lists):
             numerator = 0.0
             denominator = 0.0
             for subset in iter_subsets(silent):
                 sign = subset_parity(len(subset))
-                index = self.term_index[position]
+                index = term_index[position]
                 position += 1
                 numerator += sign * recall_list[index]
                 denominator += sign * fpr_list[index]
@@ -286,7 +338,7 @@ class ExactUnionPlan:
         return CompiledExactPlan.from_plan(self)
 
 
-class ElasticUnionPlan:
+class ElasticUnionPlan(_UnionPlan):
     """Batched Algorithm 1 plan over a set of ``(providers, silent)`` patterns.
 
     :meth:`build` collects each pattern's base provider set plus every
@@ -295,20 +347,19 @@ class ElasticUnionPlan:
     swap-ins level by level) over the batch-evaluated values.
     """
 
-    __slots__ = ("rows", "silent_lists", "base_index", "term_index", "level")
+    __slots__ = ("base_index", "level")
 
     def __init__(
         self,
         rows: np.ndarray,
-        silent_lists: list[list[int]],
-        base_index: list[int],
-        term_index: list[int],
+        silent_sizes: np.ndarray,
+        silent_ids: np.ndarray,
+        term_index: np.ndarray,
+        base_index: np.ndarray,
         level: int,
     ) -> None:
-        self.rows = rows
-        self.silent_lists = silent_lists
+        super().__init__(rows, silent_sizes, silent_ids, term_index)
         self.base_index = base_index
-        self.term_index = term_index
         self.level = level
 
     @classmethod
@@ -318,24 +369,16 @@ class ElasticUnionPlan:
         silent_matrix: np.ndarray,
         level: int,
     ) -> "ElasticUnionPlan":
-        provider_lists, silent_lists = pattern_source_lists(
-            provider_matrix, silent_matrix
+        sizes = np.count_nonzero(silent_matrix, axis=1).astype(np.int64)
+        silent_ids = _silent_ids(silent_matrix, sizes)
+        rows, ids, lengths = _union_terms(
+            provider_matrix, sizes, silent_ids, level
         )
-        collector = UnionCollector(provider_matrix.shape[1])
-        base_index: list[int] = []
-        term_index: list[int] = []
-        for k, silent in enumerate(silent_lists):
-            base_row = provider_matrix[k]
-            base_mask = collector.mask_of(provider_lists[k])
-            base_index.append(collector.add(base_mask, base_row, ()))
-            max_level = min(level, len(silent))
-            for l in range(1, max_level + 1):
-                for subset in iter_subsets_of_size(silent, l):
-                    mask = base_mask
-                    for i in subset:
-                        mask |= collector.bit(i)
-                    term_index.append(collector.add(mask, base_row, subset))
-        return cls(collector.rows(), silent_lists, base_index, term_index, level)
+        # Each pattern's first term is its empty subset: the base set.
+        starts = np.cumsum(lengths) - lengths
+        return cls(
+            rows, sizes, silent_ids, np.delete(ids, starts), ids[starts], level
+        )
 
     def accumulate(
         self,
@@ -347,13 +390,16 @@ class ElasticUnionPlan:
         """Per-pattern floored ``(R, Q)`` of Algorithm 1."""
         recall_list = recalls.tolist()
         fpr_list = fprs.tolist()
-        n_patterns = len(self.silent_lists)
+        base_index = self.base_index.tolist()
+        term_index = self.term_index.tolist()
+        silent_lists = self.silent_lists
+        n_patterns = len(silent_lists)
         numerators = np.empty(n_patterns, dtype=float)
         denominators = np.empty(n_patterns, dtype=float)
         position = 0
-        for k, silent in enumerate(self.silent_lists):
-            r_st = recall_list[self.base_index[k]]
-            q_st = fpr_list[self.base_index[k]]
+        for k, silent in enumerate(silent_lists):
+            r_st = recall_list[base_index[k]]
+            q_st = fpr_list[base_index[k]]
             numerator = r_st
             denominator = q_st
             for i in silent:
@@ -368,7 +414,7 @@ class ElasticUnionPlan:
                     for i in subset:
                         approx_r *= eff_recall[i]
                         approx_q *= eff_fpr[i]
-                    index = self.term_index[position]
+                    index = term_index[position]
                     position += 1
                     numerator += sign * (recall_list[index] - approx_r)
                     denominator += sign * (fpr_list[index] - approx_q)
@@ -387,39 +433,14 @@ class ElasticUnionPlan:
 # Compiled plans: the execute-many half of the pipeline
 # ----------------------------------------------------------------------
 
-#: Memoised exact-plan sign sequences, keyed by silent-set size.  The
-#: sequence depends only on the size, and at most ``n_sources + 1`` distinct
-#: sizes ever occur.  (The elastic plan writes its signs while enumerating
-#: subsets for the factor matrices, so it needs no memo.)  Module-global
-#: mutable state is banned in repro.core (REP004) because caches that
-#: outlive a model generation corrupt delta-vs-cold comparisons; this memo
-#: is exempt because each value is a pure deterministic function of its
-#: integer key alone -- no model state, bounded by n_sources + 1 entries.
-_EXACT_SIGN_SEQS: dict[int, np.ndarray] = {}  # reprolint: allow[REP004]
-
-
-def _exact_sign_sequence(n_silent: int) -> np.ndarray:
-    """``(-1)^{|subset|}`` over ``iter_subsets`` enumeration order."""
-    seq = _EXACT_SIGN_SEQS.get(n_silent)
-    if seq is None:
-        seq = np.concatenate(
-            [
-                np.full(math.comb(n_silent, size), float(subset_parity(size)))
-                for size in range(n_silent + 1)
-            ]
-        )
-        seq.setflags(write=False)
-        _EXACT_SIGN_SEQS[n_silent] = seq
-    return seq
-
 
 def _column_major_layout(
     lengths: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Step-major term layout over patterns sorted by term count.
 
     ``lengths[k]`` is pattern ``k``'s term count in the row-major term
-    arrays.  Returns ``(order, step_counts, positions)``:
+    arrays.  Returns ``(order, step_counts, positions, pattern_pos)``:
 
     - ``order``: pattern permutation, descending term count (stable);
     - ``step_counts``: for step ``c``, how many sorted patterns still have
@@ -427,28 +448,23 @@ def _column_major_layout(
     - ``positions``: indices into the row-major term arrays, laid out
       step-major -- step ``c`` holds the ``c``-th term of each active
       pattern, so a sweep of ``acc[:k] += column`` adds every pattern's
-      terms strictly left-to-right in the legacy order.
+      terms strictly left-to-right in the legacy order;
+    - ``pattern_pos``: each step-major term's sorted pattern position.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    n = lengths.shape[0]
     order = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[order]
-    row_starts = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        np.cumsum(lengths[:-1], out=row_starts[1:])
-    sorted_starts = row_starts[order]
-    max_len = int(sorted_lengths[0]) if n else 0
-    if max_len == 0:
-        return order, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    sorted_starts = (np.cumsum(lengths) - lengths)[order]
+    max_len = int(sorted_lengths[0]) if len(lengths) else 0
     # Active-prefix length per step: how many sorted lengths exceed c.
-    ascending = -sorted_lengths
     step_counts = np.searchsorted(
-        ascending, -np.arange(max_len, dtype=np.int64), side="left"
+        -sorted_lengths, -np.arange(max_len, dtype=np.int64), side="left"
     )
-    positions = np.concatenate(
-        [sorted_starts[:k] + c for c, k in enumerate(step_counts.tolist())]
-    )
-    return order, step_counts, positions
+    step_starts = np.cumsum(step_counts) - step_counts
+    pattern_pos = np.arange(int(step_counts.sum()), dtype=np.int64)
+    pattern_pos -= np.repeat(step_starts, step_counts)
+    steps = np.repeat(np.arange(max_len, dtype=np.int64), step_counts)
+    return order, step_counts, sorted_starts[pattern_pos] + steps, pattern_pos
 
 
 class CompiledExactPlan:
@@ -486,21 +502,16 @@ class CompiledExactPlan:
 
     @classmethod
     def from_plan(cls, plan: ExactUnionPlan) -> "CompiledExactPlan":
-        silent_sizes = [len(silent) for silent in plan.silent_lists]
-        lengths = np.array([1 << s for s in silent_sizes], dtype=np.int64)
-        term_index = np.asarray(plan.term_index, dtype=np.int64)
-        order, step_counts, positions = _column_major_layout(lengths)
-        if silent_sizes:
-            signs = np.concatenate(
-                [_exact_sign_sequence(s) for s in silent_sizes]
-            )
-        else:
-            signs = np.zeros(0, dtype=float)
+        lengths, blocks = _subset_blocks(plan.silent_sizes, None, 0)
+        signs = np.empty(int(lengths.sum()), dtype=float)
+        for _, table, slots in blocks:
+            signs[slots] = float(subset_parity(table.shape[1]))
+        order, step_counts, positions, _ = _column_major_layout(lengths)
         return cls(
             rows=plan.rows,
-            n_patterns=len(silent_sizes),
+            n_patterns=len(lengths),
             order=order,
-            term_gather=term_index[positions],
+            term_gather=plan.term_index[positions],
             term_signs=signs[positions],
             step_counts=step_counts,
         )
@@ -591,63 +602,54 @@ class CompiledElasticPlan:
         eff_recall: Mapping[int, float],
         eff_fpr: Mapping[int, float],
     ) -> "CompiledElasticPlan":
-        silent_lists = plan.silent_lists
-        n_patterns = len(silent_lists)
+        sizes, silent_ids = plan.silent_sizes, plan.silent_ids
         level = plan.level
-        lengths = np.array(
-            [
-                count_subsets(len(silent), min(level, len(silent))) - 1
-                for silent in silent_lists
-            ],
-            dtype=np.int64,
+        lengths, blocks = _subset_blocks(sizes, level, 1)
+        order, step_counts, positions, pattern_pos = _column_major_layout(
+            lengths
         )
-        order, step_counts, positions = _column_major_layout(lengths)
 
-        base_gather = np.asarray(plan.base_index, dtype=np.int64)[order]
-        max_silent = max((len(s) for s in silent_lists), default=0)
-        silent_r = np.ones((n_patterns, max_silent), dtype=float)
-        silent_q = np.ones((n_patterns, max_silent), dtype=float)
-        for sorted_pos, original in enumerate(order.tolist()):
-            for column, i in enumerate(silent_lists[original]):
-                silent_r[sorted_pos, column] = 1.0 - eff_recall[i]
-                silent_q[sorted_pos, column] = 1.0 - eff_fpr[i]
+        # Per-source factor vectors over the silent ids that occur; a
+        # missing id raises the same KeyError as the scalar walk.
+        in_set = np.arange(silent_ids.shape[1]) < sizes[:, None]
+        used = np.unique(silent_ids[in_set]).tolist()
+        vec_r, vec_q = np.ones((2, plan.rows.shape[1]), dtype=float)
+        vec_r[used] = [eff_recall[i] for i in used]
+        vec_q[used] = [eff_fpr[i] for i in used]
 
-        n_terms = int(lengths.sum())
-        signs = np.empty(n_terms, dtype=float)
-        eff_r = np.ones((n_terms, level), dtype=float)
-        eff_q = np.ones((n_terms, level), dtype=float)
-        term = 0
-        for silent in silent_lists:
-            max_level = min(level, len(silent))
-            for size in range(1, max_level + 1):
-                sign = float(subset_parity(size))
-                for subset in iter_subsets_of_size(silent, size):
-                    signs[term] = sign
-                    for column, i in enumerate(subset):
-                        eff_r[term, column] = eff_recall[i]
-                        eff_q[term, column] = eff_fpr[i]
-                    term += 1
+        silent_r, silent_q = np.ones((2, *silent_ids.shape), dtype=float)
+        silent_r[in_set] = 1.0 - vec_r[silent_ids[in_set]]
+        silent_q[in_set] = 1.0 - vec_q[silent_ids[in_set]]
 
-        term_index = np.asarray(plan.term_index, dtype=np.int64)
-        if len(step_counts):
-            term_pattern_pos = np.concatenate(
-                [np.arange(k, dtype=np.int64) for k in step_counts.tolist()]
-            )
-        else:
-            term_pattern_pos = np.zeros(0, dtype=np.int64)
+        # Fill straight into the step-major layout: ``dest`` maps each
+        # row-major term to its step-major slot.  The factor matrices are
+        # built transposed, so each accumulate column is contiguous.
+        dest = np.empty_like(positions)
+        dest[positions] = np.arange(len(positions))
+        signs = np.empty(len(positions), dtype=float)
+        eff_r, eff_q = np.ones((2, level, len(positions)), dtype=float)
+        for members, table, slots in blocks:
+            where = dest[slots]
+            signs[where] = float(subset_parity(table.shape[1]))
+            member_ids = silent_ids[members]
+            for column, positions_in_set in enumerate(table.T):
+                subset_ids = member_ids[:, positions_in_set]
+                eff_r[column, where] = vec_r[subset_ids]
+                eff_q[column, where] = vec_q[subset_ids]
+
         return cls(
             rows=plan.rows,
-            n_patterns=n_patterns,
+            n_patterns=len(lengths),
             level=level,
             order=order,
-            base_gather=base_gather,
-            silent_r_factors=silent_r,
-            silent_q_factors=silent_q,
-            term_gather=term_index[positions],
-            term_signs=signs[positions],
-            term_pattern_pos=term_pattern_pos,
-            term_eff_r=eff_r[positions],
-            term_eff_q=eff_q[positions],
+            base_gather=plan.base_index[order],
+            silent_r_factors=silent_r[order],
+            silent_q_factors=silent_q[order],
+            term_gather=plan.term_index[positions],
+            term_signs=signs,
+            term_pattern_pos=pattern_pos,
+            term_eff_r=eff_r.T,
+            term_eff_q=eff_q.T,
             step_counts=step_counts,
         )
 

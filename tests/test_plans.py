@@ -1,26 +1,41 @@
 """The shared union-plan layer (repro.core.plans).
 
-Covers the :class:`UnionCollector` aliasing regression (collected rows must
-not be live views into mutable pattern storage), the exact / elastic union
-plans' bit-identity with the scalar ``pattern_likelihoods`` reference, and
-the ``pattern_likelihoods_batch`` entry points the clustered fuser drives.
+Covers the reference :class:`UnionCollector` aliasing regression (collected
+rows must not be live views into mutable pattern storage), field-by-field
+equality of the vectorized plan compiler with the loop-based reference in
+``_reference_plans``, the exact / elastic union plans' bit-identity with
+the scalar ``pattern_likelihoods`` reference, and the
+``pattern_likelihoods_batch`` entry points the clustered fuser drives.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _reference_plans as reference
+from _reference_plans import UnionCollector
 from repro.core import (
+    CompiledElasticPlan,
+    CompiledExactPlan,
     ElasticFuser,
     ElasticUnionPlan,
     ExactCorrelationFuser,
     ExactUnionPlan,
-    UnionCollector,
     fit_model,
+    fuse,
     restricted_unique_patterns,
 )
-from repro.data import SyntheticConfig, generate, uniform_sources
+from repro.data import (
+    CorrelationGroup,
+    SyntheticConfig,
+    generate,
+    uniform_sources,
+)
 
 
 def _dataset(seed=21, n_sources=5, n_triples=80):
@@ -156,6 +171,184 @@ class TestUnionPlans:
                 patterns.silent_matrix,
                 width_check=fuser._check_silent_width,
             )
+
+
+#: Source counts around the 64-bit word boundary of the packed union masks.
+N_SOURCES = (1, 2, 63, 64, 65, 130)
+
+
+@st.composite
+def _pattern_sets(draw, max_silent):
+    """Disjoint ``(providers, silent)`` rows over a drawn source pool.
+
+    A small pool makes most unions repeat across patterns; silent-set
+    sizes start at zero, and an empty pattern set is drawn too.
+    """
+    n_sources = draw(st.sampled_from(N_SOURCES))
+    n_patterns = draw(st.integers(0, 10))
+    pool_size = draw(st.integers(1, n_sources))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice(n_sources, size=pool_size, replace=False)
+    providers = np.zeros((n_patterns, n_sources), dtype=bool)
+    silent = np.zeros((n_patterns, n_sources), dtype=bool)
+    for k in range(n_patterns):
+        ids = rng.permutation(pool)
+        n_silent = int(rng.integers(0, min(max_silent, pool_size) + 1))
+        n_providers = int(rng.integers(0, pool_size - n_silent + 1))
+        silent[k, ids[:n_silent]] = True
+        providers[k, ids[n_silent:n_silent + n_providers]] = True
+    return providers, silent
+
+
+def _duplicated_patterns(n_sources):
+    """Every pattern twice, sharing providers: unions repeat heavily."""
+    providers = np.zeros((6, n_sources), dtype=bool)
+    silent = np.zeros((6, n_sources), dtype=bool)
+    top = n_sources - 1
+    providers[:, 0] = True
+    for k, members in enumerate(([top], [top, 1], [])):
+        silent[2 * k:2 * k + 2, members] = True
+    return providers & ~silent, silent
+
+
+def _assert_same_array(actual, expected, name):
+    actual = np.asarray(actual)
+    expected = np.asarray(expected)
+    assert actual.shape == expected.shape, name
+    assert actual.dtype == expected.dtype, name
+    assert np.array_equal(actual, expected), name
+
+
+def _assert_same_compiled(compiled, expected):
+    for name in type(compiled).__slots__:
+        actual, want = getattr(compiled, name), getattr(expected, name)
+        if isinstance(want, np.ndarray):
+            _assert_same_array(actual, want, name)
+        else:
+            assert actual == want, name
+
+
+def _eff_factors(n_sources, seed):
+    rng = np.random.default_rng(seed)
+    return (
+        {i: float(rng.uniform(-0.5, 1.5)) for i in range(n_sources)},
+        {i: float(rng.uniform(-0.5, 1.5)) for i in range(n_sources)},
+    )
+
+
+class TestCompilerMatchesReference:
+    """The vectorized compiler against the loop-based reference, per field.
+
+    Equal arrays in, equal operations out: every compiled field matching
+    the reference's shape, dtype and values means ``accumulate`` replays
+    the reference's exact operation order, so scores stay bit-identical.
+    """
+
+    @settings(deadline=None, max_examples=60)
+    @given(patterns=_pattern_sets(max_silent=6))
+    @example(patterns=(np.zeros((0, 65), bool), np.zeros((0, 65), bool)))
+    @example(patterns=(np.ones((3, 64), bool), np.zeros((3, 64), bool)))
+    @example(patterns=_duplicated_patterns(130))
+    def test_exact_plan_fields(self, patterns):
+        providers, silent = patterns
+        plan = ExactUnionPlan.build(providers, silent)
+        want = reference.build_exact(providers, silent)
+        _assert_same_array(plan.rows, want.rows, "rows")
+        _assert_same_array(
+            plan.term_index, np.asarray(want.term_index, np.int64), "term_index"
+        )
+        assert plan.silent_lists == want.silent_lists
+        compiled = plan.compile()
+        assert isinstance(compiled, CompiledExactPlan)
+        _assert_same_compiled(compiled, reference.compile_exact(want))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        patterns=_pattern_sets(max_silent=9),
+        level=st.sampled_from([0, 1, 2, 3, "widest", 12]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        patterns=(np.zeros((0, 2), bool), np.zeros((0, 2), bool)),
+        level=3, seed=0,
+    )
+    @example(patterns=_duplicated_patterns(65), level=1, seed=1)
+    @example(patterns=_duplicated_patterns(64), level="widest", seed=2)
+    def test_elastic_plan_fields(self, patterns, level, seed):
+        providers, silent = patterns
+        if level == "widest":
+            level = int(silent.sum(axis=1).max(initial=0))
+        plan = ElasticUnionPlan.build(providers, silent, level)
+        want = reference.build_elastic(providers, silent, level)
+        _assert_same_array(plan.rows, want.rows, "rows")
+        for name in ("base_index", "term_index"):
+            _assert_same_array(
+                getattr(plan, name),
+                np.asarray(getattr(want, name), np.int64),
+                name,
+            )
+        assert plan.silent_lists == want.silent_lists
+        assert plan.level == want.level
+        eff_r, eff_q = _eff_factors(providers.shape[1], seed)
+        compiled = plan.compile(eff_r, eff_q)
+        assert isinstance(compiled, CompiledElasticPlan)
+        _assert_same_compiled(
+            compiled, reference.compile_elastic(want, eff_r, eff_q)
+        )
+
+
+class TestPlanBoundaries:
+    def test_exact_width_check_raises_before_enumerating(self):
+        dataset = _dataset()
+        model = fit_model(dataset.observations, dataset.labels)
+        fuser = ExactCorrelationFuser(model)
+        providers = np.zeros((3, 48), dtype=bool)
+        silent = np.zeros((3, 48), dtype=bool)
+        silent[0, :3] = True
+        silent[1, :40] = True
+        silent[2, :25] = True
+        with pytest.raises(ValueError) as expected:
+            reference.build_exact(
+                providers, silent, width_check=fuser._check_silent_width
+            )
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as raised:
+            ExactUnionPlan.build(
+                providers, silent, width_check=fuser._check_silent_width
+            )
+        assert time.perf_counter() - start < 0.5
+        assert str(raised.value) == str(expected.value)
+        assert "40 silent sources" in str(raised.value)
+
+    @pytest.mark.parametrize("exact_cluster_limit", [12, 2])
+    def test_wide_fuse_matches_python_accumulate(self, exact_cluster_limit):
+        # 130 sources: union masks span three words, and the correlated
+        # groups straddle the word boundaries.  Limit 2 sends both groups'
+        # clusters through the elastic plans instead of the exact ones.
+        config = SyntheticConfig(
+            sources=uniform_sources(130, precision=0.7, recall=0.3),
+            n_triples=600,
+            true_fraction=0.5,
+            groups=(
+                CorrelationGroup(
+                    members=(3, 63, 64, 100, 129), mode="overlap_true",
+                    strength=0.9,
+                ),
+                CorrelationGroup(
+                    members=(10, 70, 127), mode="overlap_false", strength=0.9
+                ),
+            ),
+        )
+        dataset = generate(config, seed=5)
+        compiled = fuse(
+            dataset.observations, dataset.labels, method="precreccorr",
+            exact_cluster_limit=exact_cluster_limit,
+        )
+        walked = fuse(
+            dataset.observations, dataset.labels, method="precreccorr",
+            exact_cluster_limit=exact_cluster_limit, accumulate="python",
+        )
+        assert np.array_equal(compiled.scores, walked.scores)
 
 
 class TestPatternLikelihoodsBatch:
