@@ -63,22 +63,31 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
-def _cluster_job(item: tuple) -> tuple:
-    """Worker-pool job: one (evaluator, cluster) decomposition + log tables.
+def _cluster_job(item: tuple) -> list[tuple]:
+    """Worker-pool job: one evaluator's clusters in one batched evaluation.
 
     A module-level function (not a closure) so the process backend can
-    pickle it.  ``item`` is ``(key, evaluator, cluster, patterns)``;
-    returns ``(key, (logs_true, logs_false, inverse))``.  Both sides' log
-    tables are built here (the batch entry points compute the true- and
-    false-side arrays together), with the same ``math.log`` element walk
-    as the serial path, so values are bit-identical.
+    pickle it.  ``item`` is ``(evaluator, clusters, patterns)``.  Each
+    cluster's distinct sub-patterns are restricted separately, then all of
+    them go through a single :meth:`pattern_likelihoods_batch` call -- one
+    plan build, compile, model evaluation and accumulate for every cluster
+    the evaluator serves -- and through one ``math.log`` pass per side.
+    Returns one ``(logs_true, logs_false, inverse)`` per cluster, in
+    ``clusters`` order, each table sliced back out of the combined arrays
+    by row offset.  Every sub-pattern's likelihoods depend on its own
+    terms alone (the evaluators are ``pattern_batch_invariant``), so the
+    values are bit-identical to one call per cluster.
     """
-    key, evaluator, cluster, patterns = item
-    sub_providers, sub_silent, inverse = restricted_unique_patterns(
-        patterns.provider_matrix, patterns.silent_matrix, cluster
-    )
+    evaluator, clusters, patterns = item
+    restrictions = [
+        restricted_unique_patterns(
+            patterns.provider_matrix, patterns.silent_matrix, cluster
+        )
+        for cluster in clusters
+    ]
     numerators, denominators = evaluator.pattern_likelihoods_batch(
-        sub_providers, sub_silent
+        np.concatenate([providers for providers, _, _ in restrictions]),
+        np.concatenate([silent for _, silent, _ in restrictions]),
     )
     logs_true = np.array(
         [
@@ -94,7 +103,12 @@ def _cluster_job(item: tuple) -> tuple:
         ],
         dtype=float,
     )
-    return key, (logs_true, logs_false, inverse)
+    tables = []
+    stop = 0
+    for sub_providers, _, inverse in restrictions:
+        start, stop = stop, stop + sub_providers.shape[0]
+        tables.append((logs_true[start:stop], logs_false[start:stop], inverse))
+    return tables
 
 
 @dataclass(frozen=True)
@@ -827,6 +841,9 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         Joint quality model over all sources.
     true_partition, false_partition:
         Pre-computed partitions; computed from ``model`` when omitted.
+        Each must cover every source id of ``model`` exactly once -- a
+        missing or out-of-range id raises ``ValueError`` here rather than
+        silently dropping a source's factor from the likelihoods.
     min_phi, min_expected, significance:
         Forwarded to :func:`correlation_clusters` when partitions are not
         supplied.
@@ -860,10 +877,12 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         the log transform entirely.  ``0`` disables both layers.
     workers, shard_size, parallel_backend:
         Sharded execution -- see :class:`~repro.core.fusion.ModelBasedFuser`.
-        This fuser fans its per-cluster batch evaluations (restriction,
+        This fuser fans its per-evaluator batch evaluations (restriction,
         union-plan build, model evaluation, log transform) across the
-        worker pool; the per-pattern recombination then runs serially in
-        partition order, so scores stay bit-identical to the serial path.
+        worker pool in one map: the combined pass over every exact-route
+        cluster runs beside the elastic clusters' passes.  The per-pattern
+        recombination then runs serially in partition order, so scores
+        stay bit-identical to the serial path.
         The per-cluster evaluators themselves stay serial (no nested
         sharding); the quality model may hold its own pool for batch
         chunks, which is distinct from this fuser's and cannot deadlock
@@ -934,6 +953,18 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
                 min_phi=min_phi, min_expected=min_expected,
                 significance=significance, memo=significance_memo,
             )
+        expected = frozenset(range(model.n_sources))
+        for side, partition in (
+            ("true", true_partition), ("false", false_partition)
+        ):
+            covered = frozenset().union(*partition.clusters)
+            if covered != expected:
+                raise ValueError(
+                    f"{side}_partition must cover every source 0.."
+                    f"{model.n_sources - 1} exactly once; missing "
+                    f"{sorted(expected - covered)}, unknown "
+                    f"{sorted(covered - expected)}"
+                )
         self._true_partition = true_partition
         self._false_partition = false_partition
         self._shared_exact: Optional[ExactCorrelationFuser] = None
@@ -1113,27 +1144,30 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         Each distinct global pattern is decomposed into per-cluster
         sub-patterns (``providers & cluster``, ``silent & cluster``); the
         sub-patterns are deduplicated *within each cluster* (many global
-        patterns collapse onto the same cluster-local restriction), each
-        cluster's distinct sub-patterns are evaluated in one shot through
-        its evaluator's :meth:`pattern_likelihoods_batch` (the shared
-        :mod:`repro.core.plans` machinery), and the deduplicated
-        likelihoods are turned into ``math.log`` tables -- one
-        ``(logs, inverse)`` term per cluster, in partition order, the
-        true-side partition first.
+        patterns collapse onto the same cluster-local restriction), and the
+        distinct sub-patterns of every cluster an evaluator serves are
+        evaluated together in one :meth:`pattern_likelihoods_batch` call
+        (the shared :mod:`repro.core.plans` machinery): one pass for all
+        exact-route clusters through the shared exact evaluator, one per
+        elastic cluster.  The likelihoods are turned into ``math.log``
+        tables and sliced back out per cluster -- one ``(logs, inverse)``
+        term per cluster, in partition order, the true-side partition
+        first.
 
-        With a configured executor the per-(evaluator, cluster) jobs --
-        restriction, union-plan evaluation, and both log transforms -- run
-        across the worker pool; the assembly below then walks the
-        partitions in their original serial order, so the term lists (and
-        therefore the scores) are bit-identical to the serial walk.
+        With a configured executor the per-evaluator jobs -- restriction,
+        union-plan evaluation, and both log transforms -- run in one
+        worker-pool map, so the combined exact pass overlaps the elastic
+        ones; the assembly below then walks the partitions in their
+        original serial order, so the term lists (and therefore the
+        scores) are bit-identical to the serial walk.
         """
         # A cluster often appears in both partitions (sources correlated on
         # both sides); the batch entry points compute the true- and
-        # false-side arrays together, so deduplicate per (evaluator,
-        # cluster) and evaluate each shared cluster once.
-        jobs: dict[
-            tuple[int, frozenset[int]],
-            tuple[ModelBasedFuser, frozenset[int]],
+        # false-side arrays together, so each (evaluator, cluster) pair is
+        # evaluated once.  Clusters are grouped by evaluator in
+        # first-sighting order (the inner dicts are ordered sets).
+        groups: dict[
+            int, tuple[ModelBasedFuser, dict[frozenset[int], None]]
         ] = {}
         order: list[list[tuple[int, frozenset[int]]]] = [[], []]
         sides = (
@@ -1142,18 +1176,23 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         )
         for partition, evaluators, side in sides:
             for cluster, evaluator in zip(partition.clusters, evaluators):
-                key = (id(evaluator), cluster)
-                jobs.setdefault(key, (evaluator, cluster))
-                order[side].append(key)
+                clusters = groups.setdefault(id(evaluator), (evaluator, {}))[1]
+                clusters[cluster] = None
+                order[side].append((id(evaluator), cluster))
         executor = self.executor
         job_items = [
-            (key, evaluator, cluster, patterns)
-            for key, (evaluator, cluster) in jobs.items()
+            (evaluator, list(clusters), patterns)
+            for evaluator, clusters in groups.values()
         ]
         if executor is not None:
-            results = dict(executor.map(_cluster_job, job_items))
+            job_tables = executor.map(_cluster_job, job_items)
         else:
-            results = dict(_cluster_job(item) for item in job_items)
+            job_tables = [_cluster_job(item) for item in job_items]
+        results = {
+            (id(evaluator), cluster): table
+            for (evaluator, clusters, _), tables in zip(job_items, job_tables)
+            for cluster, table in zip(clusters, tables)
+        }
         side_terms: tuple[
             list[tuple[np.ndarray, np.ndarray]],
             list[tuple[np.ndarray, np.ndarray]],
@@ -1170,8 +1209,9 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         """Every distinct pattern's ``mu`` through the batched union plans.
 
         The compile step (:meth:`_compile_side_terms`) decomposes the
-        global patterns per cluster, runs the per-cluster batched union
-        plans, and freezes the results into per-cluster log-likelihood
+        global patterns per cluster, runs the batched union plans (one
+        combined batch for the exact-route clusters, one per elastic
+        cluster), and freezes the results into per-cluster log-likelihood
         tables; it is memoised in the digest-keyed plan cache, so repeated
         ``score`` calls over the same pattern set -- the serving case --
         skip restriction, collection, compilation, model evaluation, and

@@ -26,6 +26,10 @@ import numpy as np
 
 from repro.core.bitset import pack_bool_rows
 
+#: Widest cluster :func:`restricted_unique_patterns` codes as one ``int64``
+#: per pattern (``2 * 31`` bits); wider clusters dedupe packed rows.
+MAX_CODED_MEMBERS = 31
+
 
 @dataclass(frozen=True)
 class PatternSet:
@@ -173,9 +177,13 @@ def restricted_unique_patterns(
     patterns to one correlation cluster (``providers & cluster``,
     ``silent & cluster``) collapses many global patterns onto the same
     cluster-local sub-pattern, so each cluster's evaluator only needs to
-    score the distinct restrictions.  Deduplication hashes the bit-packed
-    member columns (one ``np.unique`` pass, same technique as
-    :func:`extract_patterns`).
+    score the distinct restrictions.  A cluster of ``k <= 31`` members is
+    deduplicated on one ``int64`` code per pattern, ``(providers << k) |
+    silent`` over the ascending member columns, with a 1-D ``np.unique``;
+    wider clusters hash the bit-packed member columns row-wise, the same
+    technique as :func:`extract_patterns`.  The code's integer order is the
+    packed rows' lexicographic order and both passes keep each sub-pattern's
+    first occurrence, so the two routes return identical arrays.
 
     Returns ``(sub_providers, sub_silent, inverse)``: read-only boolean
     matrices of shape ``(n_subpatterns, n_sources)`` -- full source width,
@@ -198,33 +206,32 @@ def restricted_unique_patterns(
         )
     mask = np.zeros(n_sources, dtype=bool)
     mask[member_list] = True
-    sub_providers = provider_matrix & mask
-    sub_silent = silent_matrix & mask
     if n_patterns == 0 or not member_list:
         # No patterns, or an empty restriction: every pattern collapses onto
         # the all-silent-empty sub-pattern (at most one distinct row).
-        keep = min(n_patterns, 1)
-        sub_providers = sub_providers[:keep]
-        sub_silent = sub_silent[:keep]
-        sub_providers.setflags(write=False)
-        sub_silent.setflags(write=False)
-        return (
-            sub_providers,
-            sub_silent,
-            np.zeros(n_patterns, dtype=np.int64),
+        first_index = np.arange(min(n_patterns, 1))
+        inverse = np.zeros(n_patterns, dtype=np.int64)
+    elif len(member_list) <= MAX_CODED_MEMBERS:
+        weights = np.left_shift(1, np.arange(len(member_list), dtype=np.int64))
+        codes = np.left_shift(
+            provider_matrix[:, member_list] @ weights, len(member_list)
+        ) | (silent_matrix[:, member_list] @ weights)
+        _, first_index, inverse = np.unique(
+            codes, return_index=True, return_inverse=True
         )
-    packed = np.concatenate(
-        [
-            pack_bool_rows(sub_providers[:, member_list]),
-            pack_bool_rows(sub_silent[:, member_list]),
-        ],
-        axis=1,
-    )
-    _, first_index, inverse = np.unique(
-        packed, axis=0, return_index=True, return_inverse=True
-    )
-    unique_providers = sub_providers[first_index]
-    unique_silent = sub_silent[first_index]
+    else:
+        packed = np.concatenate(
+            [
+                pack_bool_rows(provider_matrix[:, member_list]),
+                pack_bool_rows(silent_matrix[:, member_list]),
+            ],
+            axis=1,
+        )
+        _, first_index, inverse = np.unique(
+            packed, axis=0, return_index=True, return_inverse=True
+        )
+    unique_providers = provider_matrix[first_index] & mask
+    unique_silent = silent_matrix[first_index] & mask
     unique_providers.setflags(write=False)
     unique_silent.setflags(write=False)
     return unique_providers, unique_silent, inverse.reshape(-1)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+import _reference_patterns
 from repro.core import (
     ClusteredCorrelationFuser,
+    ElasticFuser,
     ExactCorrelationFuser,
     IndependentJointModel,
+    ObservationMatrix,
     SourcePartition,
     SourceQuality,
     correlation_clusters,
@@ -17,7 +22,9 @@ from repro.core import (
     pairwise_correlations,
     pairwise_phi,
 )
+from repro.core.parallel import ShardedExecutor
 from repro.data import CorrelationGroup, SyntheticConfig, generate, uniform_sources
+from repro.util.probability import PROBABILITY_FLOOR
 
 
 def correlated_dataset(seed=0, strength=0.95):
@@ -174,6 +181,36 @@ class TestClusteredFuser:
         )
         assert auc_clustered > auc_independent
 
+    def test_partition_must_cover_every_source(self, figure1_model):
+        singletons = SourcePartition(
+            clusters=tuple(frozenset({i}) for i in range(5))
+        )
+        partial = SourcePartition(clusters=singletons.clusters[:4])
+        with pytest.raises(ValueError, match=r"true_partition.*missing \[4\]"):
+            ClusteredCorrelationFuser(
+                figure1_model,
+                true_partition=partial,
+                false_partition=singletons,
+            )
+        with pytest.raises(ValueError, match=r"false_partition.*missing \[4\]"):
+            ClusteredCorrelationFuser(
+                figure1_model,
+                true_partition=singletons,
+                false_partition=partial,
+            )
+
+    def test_partition_with_unknown_source_rejected(self, figure1_model):
+        singletons = SourcePartition(
+            clusters=tuple(frozenset({i}) for i in range(5))
+        )
+        stray = SourcePartition(
+            clusters=singletons.clusters + (frozenset({99}),)
+        )
+        with pytest.raises(ValueError, match=r"unknown \[99\]"):
+            ClusteredCorrelationFuser(
+                figure1_model, true_partition=stray, false_partition=singletons
+            )
+
     def test_cluster_limit_validation(self, figure1_model):
         with pytest.raises(ValueError, match="exact_cluster_limit"):
             ClusteredCorrelationFuser(figure1_model, exact_cluster_limit=0)
@@ -259,3 +296,180 @@ class TestClusteredFuser:
             vectorized.score(dataset.observations),
             legacy.score(dataset.observations),
         )
+
+
+def _random_matrix(seed, n_sources=9, n_triples=300):
+    rng = np.random.default_rng(seed)
+    provides = rng.random((n_sources, n_triples)) < 0.35
+    provides[:, ~provides.any(axis=0)] = True
+    coverage = provides | (rng.random((n_sources, n_triples)) < 0.6)
+    labels = rng.random(n_triples) < 0.5
+    matrix = ObservationMatrix(
+        provides, [f"s{i}" for i in range(n_sources)], coverage=coverage
+    )
+    return matrix, labels
+
+
+def _partition(*clusters):
+    return SourcePartition(clusters=tuple(frozenset(c) for c in clusters))
+
+
+#: Partition mixes for the batched-pass equivalence tests (9 sources).
+#: ``exact_cluster_limit`` 3 routes the 5-wide clusters through elastic.
+MIXED = dict(
+    true_partition=_partition({0, 1, 2, 3, 4}, {5}, {6, 7}, {8}),
+    false_partition=_partition({0, 1}, {2, 3, 4, 5, 6}, {7}, {8}),
+    exact_cluster_limit=3,
+    elastic_level=2,
+)
+SINGLETONS = dict(
+    true_partition=_partition(*({i} for i in range(9))),
+    false_partition=_partition(*({i} for i in range(9))),
+)
+#: Every cluster wider than the exact limit: elastic jobs only.
+NO_EXACT = dict(
+    true_partition=_partition({0, 1, 2}, {3, 4, 5}, {6, 7, 8}),
+    false_partition=_partition({0, 1, 2, 3, 4}, {5, 6, 7, 8}),
+    exact_cluster_limit=2,
+    elastic_level=2,
+)
+
+
+def _per_cluster_walk(fuser, patterns):
+    """``pattern_mu_batch`` with one batch call per (evaluator, cluster).
+
+    The clustered fuser's former job layout: every cluster restricted on
+    its own (through the packed-row reference), evaluated in its own
+    ``pattern_likelihoods_batch`` call and log-transformed separately,
+    each shared (evaluator, cluster) pair once, then recombined in
+    partition order.
+    """
+    tables = {}
+
+    def cluster_tables(evaluator, cluster):
+        key = (id(evaluator), cluster)
+        if key not in tables:
+            sub_providers, sub_silent, inverse = (
+                _reference_patterns.restricted_unique_patterns(
+                    patterns.provider_matrix, patterns.silent_matrix, cluster
+                )
+            )
+            numerators, denominators = evaluator.pattern_likelihoods_batch(
+                sub_providers, sub_silent
+            )
+            tables[key] = tuple(
+                np.array(
+                    [math.log(max(v, PROBABILITY_FLOOR)) for v in values.tolist()],
+                    dtype=float,
+                )
+                for values in (numerators, denominators)
+            ) + (inverse,)
+        return tables[key]
+
+    log_numerator = np.zeros(patterns.n_patterns, dtype=float)
+    log_denominator = np.zeros(patterns.n_patterns, dtype=float)
+    for cluster, evaluator in zip(
+        fuser.true_partition.clusters, fuser._true_evaluators
+    ):
+        logs_true, _, inverse = cluster_tables(evaluator, cluster)
+        log_numerator += logs_true[inverse]
+    for cluster, evaluator in zip(
+        fuser.false_partition.clusters, fuser._false_evaluators
+    ):
+        _, logs_false, inverse = cluster_tables(evaluator, cluster)
+        log_denominator += logs_false[inverse]
+    return np.array(
+        [math.exp(v) for v in (log_numerator - log_denominator).tolist()],
+        dtype=float,
+    )
+
+
+class TestBatchedClusterPass:
+    """One batched evaluation per evaluator == one call per cluster."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            MIXED,
+            SINGLETONS,
+            NO_EXACT,
+            dict(MIXED, accumulate="python"),
+            dict(SINGLETONS, accumulate="python"),
+        ],
+        ids=["mixed", "singletons", "no-exact", "mixed-python",
+             "singletons-python"],
+    )
+    def test_matches_per_cluster_walk(self, options):
+        matrix, labels = _random_matrix(41)
+        model = fit_model(matrix, labels)
+        patterns = matrix.patterns()
+        batched = ClusteredCorrelationFuser(model, **options)
+        walked = ClusteredCorrelationFuser(model, **options)
+        want = _per_cluster_walk(walked, patterns)
+        assert np.array_equal(batched.pattern_mu_batch(patterns), want)
+        # The cached second call serves the same tables.
+        assert np.array_equal(batched.pattern_mu_batch(patterns), want)
+
+    @pytest.mark.parametrize("options", [MIXED, SINGLETONS])
+    def test_overlapping_requests_with_delta_memo(self, options):
+        # The exact evaluator's memo seeds on its first batch; that batch
+        # now holds every exact-route cluster at once, so a second request
+        # sharing most patterns must still reproduce the per-cluster walk.
+        matrix, labels = _random_matrix(42)
+        model = fit_model(matrix, labels)
+        rng = np.random.default_rng(43)
+        provides = matrix.provides.copy()
+        churn = rng.choice(matrix.n_triples, size=30, replace=False)
+        provides[:, churn] = rng.random((matrix.n_sources, 30)) < 0.5
+        provides[:, ~provides.any(axis=0)] = True
+        second = ObservationMatrix(
+            provides,
+            list(matrix.source_names),
+            coverage=matrix.coverage | provides,
+        )
+        batched = ClusteredCorrelationFuser(model, **options)
+        walked = ClusteredCorrelationFuser(model, **options)
+        batched.enable_delta_memo()
+        walked.enable_delta_memo()
+        cold = ClusteredCorrelationFuser(model, **options)
+        for request in (matrix, second):
+            patterns = request.patterns()
+            got = batched.pattern_mu_batch(patterns)
+            assert np.array_equal(got, _per_cluster_walk(walked, patterns))
+            assert np.array_equal(got, cold.pattern_mu_batch(patterns))
+
+    def test_exact_pass_shares_one_map_with_elastic_jobs(self, monkeypatch):
+        matrix, labels = _random_matrix(44)
+        model = fit_model(matrix, labels)
+        patterns = matrix.patterns()
+        calls = []
+        real_map = ShardedExecutor.map
+
+        def spy(self, fn, items):
+            items = list(items)
+            calls.append(items)
+            return real_map(self, fn, items)
+
+        monkeypatch.setattr(ShardedExecutor, "map", spy)
+        fuser = ClusteredCorrelationFuser(model, workers=2, **MIXED)
+        try:
+            got = fuser.pattern_mu_batch(patterns)
+        finally:
+            fuser.close()
+        walked = ClusteredCorrelationFuser(model, **MIXED)
+        assert np.array_equal(got, _per_cluster_walk(walked, patterns))
+        assert len(calls) == 1
+        exact_items = [
+            item for item in calls[0]
+            if isinstance(item[0], ExactCorrelationFuser)
+        ]
+        elastic_items = [
+            item for item in calls[0] if isinstance(item[0], ElasticFuser)
+        ]
+        assert len(exact_items) == 1
+        assert set(exact_items[0][1]) == {
+            frozenset(c) for c in ({5}, {6, 7}, {8}, {0, 1}, {7})
+        }
+        assert [item[1] for item in elastic_items] == [
+            [frozenset({0, 1, 2, 3, 4})], [frozenset({2, 3, 4, 5, 6})]
+        ]

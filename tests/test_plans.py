@@ -14,9 +14,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import _reference_patterns
 import _reference_plans as reference
 from _reference_plans import UnionCollector
 from repro.core import (
@@ -393,6 +395,23 @@ class TestPatternLikelihoodsBatch:
         assert numerators.shape == denominators.shape == (0,)
 
 
+#: Cluster widths on both sides of the restriction's 31-member code limit.
+RESTRICTION_WIDTHS = (0, 1, 2, 31, 32, 63, 64, 70, 75)
+
+
+def _assert_matches_reference(providers, silent, member_ids):
+    """Production restriction == the packed-row reference, flags included."""
+    got = restricted_unique_patterns(providers, silent, member_ids)
+    want = _reference_patterns.restricted_unique_patterns(
+        providers, silent, member_ids
+    )
+    for got_array, want_array in zip(got, want):
+        assert got_array.shape == want_array.shape
+        assert got_array.dtype == want_array.dtype
+        assert np.array_equal(got_array, want_array)
+        assert got_array.flags.writeable == want_array.flags.writeable
+
+
 class TestRestrictedUniquePatterns:
     def test_restriction_reconstructs_through_inverse(self):
         dataset = _dataset(seed=26)
@@ -424,6 +443,51 @@ class TestRestrictedUniquePatterns:
         assert sub_providers.shape == (1, patterns.n_sources)
         assert not sub_providers.any() and not sub_silent.any()
         assert np.array_equal(inverse, np.zeros(patterns.n_patterns))
+
+    def test_matches_packed_row_reference_at_every_width(self):
+        # Both sides of the int64-code / packed-row switch (31 members),
+        # each with zero patterns and with unsorted, duplicated member ids.
+        rng = np.random.default_rng(31)
+        for width in RESTRICTION_WIDTHS:
+            n_sources = width + 3
+            members = rng.permutation(n_sources)[:width].tolist()
+            for n_patterns in (0, 1, 60):
+                base = rng.random((4, n_sources)) < 0.5
+                rows = base[rng.integers(0, 4, size=n_patterns)]
+                rows[: n_patterns // 2] ^= (
+                    rng.random((n_patterns // 2, n_sources)) < 0.1
+                )
+                silent = (rng.random((n_patterns, n_sources)) < 0.5) & ~rows
+                for member_ids in (members, members[::-1] + members[:2]):
+                    _assert_matches_reference(rows, silent, member_ids)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_matches_packed_row_reference(self, data):
+        width = data.draw(st.sampled_from(RESTRICTION_WIDTHS))
+        n_sources = data.draw(st.integers(max(width, 1), width + 4))
+        n_patterns = data.draw(st.integers(0, 24))
+        # Rows drawn from a small pool so restrictions actually collide.
+        pool = data.draw(
+            arrays(bool, (data.draw(st.integers(1, 4)), 2, n_sources))
+        )
+        picks = data.draw(
+            arrays(np.int64, (n_patterns,),
+                   elements=st.integers(0, pool.shape[0] - 1))
+        )
+        providers = pool[picks, 0]
+        silent = pool[picks, 1] & ~providers
+        members = data.draw(st.permutations(range(n_sources)))[:width]
+        duplicates = data.draw(
+            st.lists(st.sampled_from(members), max_size=3)
+            if members else st.just([])
+        )
+        member_ids = data.draw(st.permutations(members + duplicates))
+        _assert_matches_reference(providers, silent, member_ids)
 
     def test_out_of_range_members_rejected(self):
         patterns = np.zeros((2, 3), dtype=bool)
